@@ -26,7 +26,6 @@ from .exact import DEFAULT_BUDGET, BudgetExceededError
 from .graph import (
     DisconnectedGraphError,
     Graph,
-    induced_subgraph,
     is_connected,
     iter_bits,
     mask_from,
@@ -55,10 +54,20 @@ def _popcount(x: int) -> int:
 def greedy_ds(g: Graph) -> frozenset[int]:
     """Greedy dominating set: repeatedly take the vertex covering the most
     still-uncovered closed-neighborhood vertices (smallest index on ties)."""
-    undominated = g.full_mask
-    if not undominated:
-        return frozenset()
-    heap = [(-g.degree(v) - 1, v) for v in range(g.n)]
+    return _greedy_dominate(g, g.full_mask)
+
+
+def _greedy_dominate(g: Graph, undominated: int) -> frozenset[int]:
+    """Greedy domination of the vertices in ``undominated``, choosing only
+    among them, as :func:`greedy_ds` does on the subgraph they induce.
+
+    A chosen vertex's gain counts only still-undominated vertices, which all
+    lie inside the set, so gains equal those in the induced subgraph.  The
+    heap is seeded with upper bounds (degree in ``g`` plus one) and gains
+    only fall; a popped entry whose stored gain is current is therefore the
+    largest gain with the smallest index, whatever the seeding.
+    """
+    heap = [(-g.degree(v) - 1, v) for v in iter_bits(undominated)]
     heapq.heapify(heap)
     chosen = []
     while undominated:
@@ -118,22 +127,19 @@ def greedy_cds(g: Graph) -> frozenset[int]:
 def approx_scds(g: Graph) -> ApproxOutcome:
     """Two-stage secure connected domination within a factor of max degree + 1.
 
-    Stage one grows a connected dominating set d_c; stage two dominates the
-    induced subgraph on the remaining vertices (per component, which the
-    greedy handles natively).  Every vertex outside the union has all of
-    its residual dominators available as defenders, so the union certifies.
+    Stage one grows a connected dominating set d_c; stage two greedily
+    dominates the remaining vertices V - d_c, choosing only among them, which
+    is greedy domination of the subgraph they induce (per component, which
+    the greedy handles natively) done in place in ``g``.  Every vertex
+    outside the union has all of its residual dominators available as
+    defenders, so the union certifies.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no secure connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("secure connected domination requires a connected graph")
     d_c = greedy_cds(g)
-    rest = sorted(frozenset(range(g.n)) - d_c)
-    if rest:
-        sub, back = induced_subgraph(g, rest)
-        d = frozenset(back[i] for i in greedy_ds(sub))
-    else:
-        d = frozenset()
+    d = _greedy_dominate(g, g.full_mask & ~mask_from(d_c))
     d_sc = d_c | d
     if is_scds(g, d_sc) is None:
         raise RuntimeError("stage union failed the security certification")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from .approx import approx_scds
 from .certify import defenders_of, is_cds, is_dominating, is_scds
@@ -326,13 +326,20 @@ def _bench_row(seed: int, n: int, prob: float, budget: int):
 
 def cmd_bench(args) -> int:
     seeds = list(range(args.seed, args.seed + args.count))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(
-                lambda s: _bench_row(s, args.n, args.edge_prob, args.budget), seeds
-            ))
+    bench_row = partial(_bench_row, n=args.n, prob=args.edge_prob, budget=args.budget)
+    if args.jobs > 1 and len(seeds) > 1:
+        # Imported here: the process-pool modules add about 15 ms to the
+        # start-up of every other command.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(args.jobs, len(seeds))
+        # spawn, not fork: the caller (a test runner, an embedding program) may hold threads
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            rows = list(pool.map(bench_row, seeds))
     else:
-        rows = [_bench_row(s, args.n, args.edge_prob, args.budget) for s in seeds]
+        rows = [bench_row(s) for s in seeds]
     rows.sort(key=lambda r: r[0])
     lines = ["seed,n,m,delta,gamma_sc,approx_size,bound"]
     lines += [",".join(str(f) for f in row) for row in rows]

@@ -5,6 +5,12 @@ Vertices are dense 0-based indices.  Vertex subsets cross API boundaries as
 plain ``frozenset`` objects; the performance-sensitive internals use integer
 bitmasks where bit ``v`` stands for vertex ``v``.  The text file format is
 documented on :func:`parse_graph`.
+
+A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
+memory, so parsing, :func:`is_connected`, :func:`pendant_and_support` and
+:func:`induced_subgraph` stay linear.  The Θ(n²)-bit neighbourhood masks are
+built on the first mask call; the certifiers, the exact oracles, the greedy
+stages of the approximation and the graph-class validators pay for them.
 """
 
 from __future__ import annotations
@@ -46,15 +52,20 @@ def format_vertex_set(s: Iterable[int]) -> str:
     return ",".join(str(v) for v in sorted(s))
 
 
-_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
-
-
 class Graph:
     """Simple undirected graph, immutable after construction.
 
     ``n`` is the vertex count, ``m`` the edge count.  Adjacency lists are
     strictly increasing tuples and symmetric; no self-loops or duplicate
-    edges survive construction.  Instances are safe to share across threads.
+    edges survive construction.  Construction builds only the adjacency
+    lists, in O(n + m) time and memory.  The per-vertex bitmasks behind
+    :meth:`neighbor_mask`, :meth:`closed_mask` and :meth:`has_edge` take
+    Θ(n²/8) bytes; they are built on the first call to any of the three,
+    so only the callers that work on masks pay for them: the certifiers,
+    the exact oracles, the greedy stages of the approximation and the
+    graph-class validators.  Instances are safe to share across threads:
+    the masks are published only once both tuples are complete, so two
+    threads racing on the first call at worst build the same tuples twice.
     """
 
     __slots__ = ("n", "m", "_adj", "_nmask", "_cmask", "_maxdeg")
@@ -62,9 +73,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbytes = (n + 7) // 8 if n else 1
-        rows = [bytearray(nbytes) for _ in range(n)]
-        m = 0
+        nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u > v:
                 u, v = v, u
@@ -72,29 +81,22 @@ class Graph:
                 raise ValueError(f"edge endpoint out of range: ({u},{v}) with n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            row = rows[u]
-            byte, bit = v >> 3, 1 << (v & 7)
-            if not row[byte] & bit:
-                row[byte] |= bit
-                rows[v][u >> 3] |= 1 << (u & 7)
-                m += 1
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.n = n
-        self.m = m
-        nmask = [int.from_bytes(row, "little") for row in rows]
-        self._nmask = tuple(nmask)
-        self._cmask = tuple(nm | (1 << v) for v, nm in enumerate(nmask))
-        expand = _BYTE_BITS
-        adj = []
-        for row in rows:
-            lst: list[int] = []
-            base = 0
-            for byte in row:
-                if byte:
-                    lst.extend(base + b for b in expand[byte])
-                base += 8
-            adj.append(tuple(lst))
-        self._adj = tuple(adj)
-        self._maxdeg = max((len(a) for a in adj), default=0)
+        self.m = sum(map(len, adj)) // 2
+        self._adj = adj
+        self._maxdeg = max(map(len, adj), default=0)
+
+    # The mask slots stay unset until the first mask call, whose
+    # AttributeError builds them; a try costs nothing on the hot path.
+    def _build_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        nmask = tuple(map(mask_from, self._adj))
+        cmask = tuple(nm | 1 << v for v, nm in enumerate(nmask))
+        self._nmask = nmask
+        self._cmask = cmask
+        return nmask, cmask
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -119,13 +121,19 @@ class Graph:
         return (1 << self.n) - 1
 
     def neighbor_mask(self, v: int) -> int:
-        return self._nmask[v]
+        try:
+            return self._nmask[v]
+        except AttributeError:
+            return self._build_masks()[0][v]
 
     def closed_mask(self, v: int) -> int:
-        return self._cmask[v]
+        try:
+            return self._cmask[v]
+        except AttributeError:
+            return self._build_masks()[1][v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._nmask[u] >> v & 1)
+        return bool(self.neighbor_mask(u) >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -155,18 +163,23 @@ class Bipartition:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
+    """True iff every vertex is reachable from vertex 0 (true for n <= 1).
+
+    One traversal of the adjacency lists; the graph's bitmasks are not built.
+    """
     if g.n <= 1:
         return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= g.neighbor_mask(v)
-        frontier = grown & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == g.n
 
 
 def pendant_and_support(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -272,10 +285,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: endpoint out of range")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop")
-        edges.append((u, v) if u < v else (v, u))
-    if len(set(edges)) != len(edges):
+        edges.append((u, v))
+    g = Graph(n, edges)
+    if g.m != m:
         raise GraphFormatError("duplicate edge")
-    return Graph(n, edges)
+    return g
 
 
 def format_graph(g: Graph) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import complete, cycle, path, random_connected, star
+from helpers import complete, cycle, path, random_connected, sparse_connected, star
 from scds import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -18,6 +18,7 @@ from scds import (
     min_ds,
     min_scds,
 )
+from scds.graph import induced_subgraph, is_connected
 
 
 def test_greedy_ds_examples():
@@ -92,6 +93,32 @@ def test_residual_dominated_per_component():
     rest = frozenset(range(7)) - out.d_c
     for v in rest:
         assert v in out.d or any(w in out.d for w in g.neighbors(v) if w in rest)
+
+
+def test_stage_two_matches_greedy_on_induced_subgraph():
+    # oracle: the stage-two set is greedy_ds on the induced residual subgraph,
+    # mapped back to the original labels
+    rng = random.Random(23)
+    graphs = [sparse_connected(rng.randint(20, 200), seed) for seed in range(12)]
+    graphs += [random_connected(rng.randint(2, 40), rng, prob=0.15) for _ in range(12)]
+    split = 0
+    for g in graphs:
+        out = approx_scds(g)
+        rest = sorted(frozenset(range(g.n)) - out.d_c)
+        sub, back = induced_subgraph(g, rest)
+        assert out.d == frozenset(back[i] for i in greedy_ds(sub))
+        split += not is_connected(sub)
+    assert split >= 5  # many residuals fall apart into several components
+
+
+def test_approx_scds_tiny_residuals():
+    out = approx_scds(Graph.from_edge_list(1, []))  # residual empty
+    assert (out.d_c, out.d, out.d_sc, out.ratio_bound) == (
+        frozenset({0}), frozenset(), frozenset({0}), 1)
+    out = approx_scds(star(1))  # residual is the single leaf
+    assert (out.d_c, out.d, out.d_sc) == (frozenset({0}), frozenset({1}), frozenset({0, 1}))
+    out = approx_scds(star(5))  # residual is five one-vertex components
+    assert (out.d_c, out.d) == (frozenset({0}), frozenset(range(1, 6)))
 
 
 def test_dom_set_approx_direct_branch():

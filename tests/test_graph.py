@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from scds.graph import (
     format_graph,
     format_vertex_set,
     induced_subgraph,
+    mask_from,
     parse_graph,
 )
 
@@ -78,6 +80,35 @@ def test_is_connected():
     assert is_connected(g) == (len(seen) == 4) == True  # noqa: E712
     assert is_connected(Graph.from_edge_list(1, []))
     assert is_connected(Graph.from_edge_list(0, []))
+
+
+def test_masks_match_adjacency():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edge_list(n, [p for p in pairs if rng.random() < 0.4])
+        for v in range(n):
+            assert g.neighbor_mask(v) == mask_from(g.neighbors(v))
+            assert g.closed_mask(v) == g.neighbor_mask(v) | 1 << v
+            for w in range(n):
+                assert g.has_edge(v, w) == (w in g.neighbors(v))
+    # the first mask call may be any of the three accessors
+    assert path(3).has_edge(1, 2) and not path(3).has_edge(0, 2)
+    assert path(3).closed_mask(0) == 0b011
+
+
+def test_edgeless_header_parses_and_rejects_in_linear_memory():
+    # 20000 isolated vertices: one n-bit row or mask per vertex would take 50 MB
+    tracemalloc.start()
+    try:
+        g = parse_graph("20000 0\n")
+        assert (g.n, g.m, g.max_degree) == (20000, 0, 0)
+        assert not is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_pendant_and_support():
