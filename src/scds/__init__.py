@@ -4,7 +4,7 @@ and the full family of hardness gadget constructions with witness builders
 and solution extractors."""
 
 from .approx import ApproxOutcome, approx_scds, approx_scds_solver, dom_set_approx, greedy_cds, greedy_ds
-from .certify import SecurityCertificate, defenders_of, is_cds, is_dominating, is_scds
+from .certify import Failure, SecurityCertificate, defenders_of, first_failure, is_cds, is_dominating, is_scds
 from .chain import (
     ChainOrdering,
     ChainOptimalityReport,
@@ -75,7 +75,8 @@ from .reductions import (
 __all__ = [
     "ApproxOutcome", "approx_scds", "approx_scds_solver", "dom_set_approx",
     "greedy_cds", "greedy_ds",
-    "SecurityCertificate", "defenders_of", "is_cds", "is_dominating", "is_scds",
+    "Failure", "SecurityCertificate", "defenders_of", "first_failure", "is_cds",
+    "is_dominating", "is_scds",
     "ChainOrdering", "ChainOptimalityReport", "chain_optimality_report",
     "chain_ordering", "chain_scds_upper_bound",
     "DEFAULT_BUDGET", "BudgetExceededError", "ExactResult",

@@ -47,10 +47,6 @@ class ApproxOutcome:
     ratio_bound: int
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def greedy_ds(g: Graph) -> frozenset[int]:
     """Greedy dominating set: repeatedly take the vertex covering the most
     still-uncovered closed-neighborhood vertices (smallest index on ties)."""
@@ -72,7 +68,7 @@ def _greedy_dominate(g: Graph, undominated: int) -> frozenset[int]:
     chosen = []
     while undominated:
         stored, v = heapq.heappop(heap)
-        gain = _popcount(g.closed_mask(v) & undominated)
+        gain = (g.closed_mask(v) & undominated).bit_count()
         if gain != -stored:
             if gain:
                 heapq.heappush(heap, (-gain, v))
@@ -104,7 +100,7 @@ def greedy_cds(g: Graph) -> frozenset[int]:
     def open_frontier(v: int) -> None:
         nonlocal in_frontier
         for w in iter_bits(g.neighbor_mask(v) & ~members & ~in_frontier):
-            gain = _popcount(g.closed_mask(w) & ~dominated)
+            gain = (g.closed_mask(w) & ~dominated).bit_count()
             if gain:
                 heapq.heappush(heap, (-gain, w))
             in_frontier |= 1 << w
@@ -112,7 +108,7 @@ def greedy_cds(g: Graph) -> frozenset[int]:
     open_frontier(seed)
     while dominated != full:
         stored, v = heapq.heappop(heap)
-        gain = _popcount(g.closed_mask(v) & ~dominated)
+        gain = (g.closed_mask(v) & ~dominated).bit_count()
         if gain != -stored:
             if gain:
                 heapq.heappush(heap, (-gain, v))

@@ -1,5 +1,5 @@
 """Certifiers for dominating, connected dominating, and secure connected
-dominating sets.
+dominating sets, and the explanation of a rejection.
 
 A set S is *dominating* if N[S] = V, a *connected dominating set* (CDS) if
 additionally S is nonempty and G[S] is connected, and a *secure connected
@@ -17,6 +17,15 @@ the world per swap:
 * connectivity after the swap holds iff u has a neighbor in every
   component of G[S] - v, read off a single DFS of G[S] with articulation
   (lowpoint) information.
+
+``first_failure`` explains a rejection by the first :class:`Failure` that
+applies: ``undominated``, the smallest vertex outside N[S]; for cds and scds
+``disconnected``, the smallest vertex of S that a traversal of G[S] from
+min(S) misses; for scds ``undefended``, the smallest outside vertex with no
+defender, found by the defender loop that builds certificates.  The empty
+set on the empty graph has no vertex to blame: ``Failure(-1, "unknown")``.
+An explanation costs about one ``is_scds``, never a CDS check per swap as
+the from-the-definition :func:`defenders_of` makes.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, iter_bits
+from .graph import Graph, iter_bits, reach_within
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,14 @@ class SecurityCertificate:
     """
 
     defended: dict[int, int]
+
+
+@dataclass(frozen=True)
+class Failure:
+    """The vertex to blame for a rejected set and the reason it fails."""
+
+    vertex: int
+    reason: str
 
 
 def _validated_mask(g: Graph, s: Iterable[int]) -> int:
@@ -55,23 +72,9 @@ def is_dominating_mask(g: Graph, smask: int) -> bool:
     return covered == g.full_mask
 
 
-def _induced_connected(g: Graph, smask: int) -> bool:
-    if not smask:
-        return False
-    seen = smask & -smask
-    frontier = seen
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= g.neighbor_mask(v)
-        frontier = grown & smask & ~seen
-        seen |= frontier
-    return seen == smask
-
-
 def is_cds_mask(g: Graph, smask: int) -> bool:
     # The empty set is never a CDS, including on the empty graph.
-    return bool(smask) and _induced_connected(g, smask) and is_dominating_mask(g, smask)
+    return bool(smask) and reach_within(g, smask) == smask and is_dominating_mask(g, smask)
 
 
 def is_dominating(g: Graph, s: Iterable[int]) -> bool:
@@ -162,9 +165,9 @@ def _defender_ok(g, smask, crit, tin, sep, root, u, v, u_nbr_tins) -> bool:
     return True
 
 
-def is_scds_mask(g: Graph, smask: int) -> SecurityCertificate | None:
-    if not is_cds_mask(g, smask):
-        return None
+def _defend(g: Graph, smask: int) -> tuple[dict[int, int], int]:
+    """Smallest-index defenders of the outside vertices of the CDS ``smask``
+    in increasing order, and the first of them with none (-1 if none lacks one)."""
     crit, tin, sep, root = _swap_structure(g, smask)
     defended: dict[int, int] = {}
     for u in iter_bits(g.full_mask & ~smask):
@@ -175,8 +178,15 @@ def is_scds_mask(g: Graph, smask: int) -> SecurityCertificate | None:
                 defended[u] = v
                 break
         else:
-            return None
-    return SecurityCertificate(defended=defended)
+            return defended, u
+    return defended, -1
+
+
+def is_scds_mask(g: Graph, smask: int) -> SecurityCertificate | None:
+    if not is_cds_mask(g, smask):
+        return None
+    defended, undefended = _defend(g, smask)
+    return None if undefended >= 0 else SecurityCertificate(defended=defended)
 
 
 def is_scds(g: Graph, s: Iterable[int]) -> SecurityCertificate | None:
@@ -186,6 +196,31 @@ def is_scds(g: Graph, s: Iterable[int]) -> SecurityCertificate | None:
     with an empty defender map).
     """
     return is_scds_mask(g, _validated_mask(g, s))
+
+
+def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
+    """Why ``s`` fails the ``ds``, ``cds`` or ``scds`` check, or None if it
+    passes; precedence and tie-breaks as in the module docstring."""
+    if problem not in ("ds", "cds", "scds"):
+        raise ValueError(f"unknown problem {problem!r}")
+    smask = _validated_mask(g, s)
+    covered = 0
+    for v in iter_bits(smask):
+        covered |= g.closed_mask(v)
+    undominated = g.full_mask & ~covered
+    if undominated:
+        return Failure((undominated & -undominated).bit_length() - 1, "undominated")
+    if problem == "ds":
+        return None
+    if not smask:
+        return Failure(-1, "unknown")
+    unreached = smask & ~reach_within(g, smask)
+    if unreached:
+        return Failure((unreached & -unreached).bit_length() - 1, "disconnected")
+    if problem == "cds":
+        return None
+    _, undefended = _defend(g, smask)
+    return None if undefended < 0 else Failure(undefended, "undefended")
 
 
 def defenders_of(g: Graph, s: Iterable[int], u: int) -> frozenset[int]:

@@ -22,6 +22,7 @@ from .graph import (
     check_bipartition,
     is_connected,
     pendant_and_support,
+    scds_forced,
 )
 
 
@@ -110,9 +111,7 @@ def chain_optimality_report(
     errors from the oracle propagate.
     """
     built = chain_scds_upper_bound(g, order)
-    pendants, supports = pendant_and_support(g)
-    forced = (pendants | supports) if g.n >= 3 else frozenset()
-    exact = min_scds(g, forced, budget=budget)
+    exact = min_scds(g, scds_forced(g), budget=budget)
     gap = len(built) - exact.size
     if gap < 0:
         raise RuntimeError("exact oracle exceeded a feasible construction")

@@ -17,7 +17,7 @@ import sys
 from functools import partial
 
 from .approx import approx_scds
-from .certify import defenders_of, is_cds, is_dominating, is_scds
+from .certify import first_failure, is_cds, is_dominating, is_scds
 from .chain import chain_ordering, chain_scds_upper_bound
 from .exact import (
     DEFAULT_BUDGET,
@@ -38,10 +38,8 @@ from .graph import (
     GraphFormatError,
     bipartition,
     format_graph,
-    iter_bits,
     load_graph,
-    mask_from,
-    pendant_and_support,
+    scds_forced,
 )
 from .graphclasses import TreeWitness, check_dpeo, check_peo, chordal_bipartite_check_bounded, validate_tree_convex
 from .reductions import (
@@ -88,13 +86,6 @@ def _require_bipartite(g: Graph) -> Bipartition:
     return parts
 
 
-def _prop1_forced(g: Graph) -> frozenset[int]:
-    if g.n < 3:
-        return frozenset()
-    pendants, supports = pendant_and_support(g)
-    return pendants | supports
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -111,7 +102,7 @@ def cmd_solve(args) -> int:
         elif args.problem == "vc":
             res = min_vertex_cover(g, budget=args.budget)
         else:
-            res = min_scds(g, _prop1_forced(g), budget=args.budget)
+            res = min_scds(g, scds_forced(g), budget=args.budget)
     _emit({
         "explored": res.explored,
         "problem": args.problem,
@@ -133,44 +124,12 @@ def cmd_verify(args) -> int:
                 "set": sorted(s),
             })
             return EXIT_OK
-    elif args.problem == "cds":
-        if is_cds(g, s):
-            _emit({"problem": "cds", "set": sorted(s)})
-            return EXIT_OK
-    else:
-        if is_dominating(g, s):
-            _emit({"problem": "ds", "set": sorted(s)})
-            return EXIT_OK
-    vertex, reason = _first_failure(g, s, args.problem)
-    _emit({"failing_vertex": vertex, "problem": args.problem, "reason": reason})
+    elif (is_cds if args.problem == "cds" else is_dominating)(g, s):
+        _emit({"problem": args.problem, "set": sorted(s)})
+        return EXIT_OK
+    failure = first_failure(g, s, args.problem)
+    _emit({"failing_vertex": failure.vertex, "problem": args.problem, "reason": failure.reason})
     return EXIT_NEGATIVE
-
-
-def _first_failure(g: Graph, s: frozenset[int], problem: str):
-    smask = mask_from(s)
-    for v in range(g.n):
-        if not g.closed_mask(v) & smask:
-            return v, "undominated"
-    if problem == "ds":
-        return -1, "unknown"
-    # connectivity of the induced subgraph
-    if s:
-        seen = smask & -smask
-        frontier = seen
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= g.neighbor_mask(v)
-            frontier = grown & smask & ~seen
-            seen |= frontier
-        if seen != smask:
-            return (smask & ~seen & -(smask & ~seen)).bit_length() - 1, "disconnected"
-    if problem == "cds":
-        return -1, "unknown"
-    for u in range(g.n):
-        if u not in s and not defenders_of(g, s, u):
-            return u, "undefended"
-    return -1, "unknown"
 
 
 def cmd_approx(args) -> int:
@@ -318,7 +277,7 @@ def _bench_row(seed: int, n: int, prob: float, budget: int):
     g = random_connected_graph(n, prob, seed)
     out = approx_scds(g)
     try:
-        gamma = str(min_scds(g, _prop1_forced(g), budget=budget).size)
+        gamma = str(min_scds(g, scds_forced(g), budget=budget).size)
     except BudgetExceededError:
         gamma = ""
     return (seed, g.n, g.m, g.max_degree, gamma, len(out.d_sc), g.max_degree + 1)

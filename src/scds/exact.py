@@ -85,15 +85,8 @@ def _min_subset(
 
 
 def _as_result(mask: int, explored: int) -> ExactResult:
-    witness = []
-    size = 0
-    m = mask
-    while m:
-        low = m & -m
-        witness.append(low.bit_length() - 1)
-        size += 1
-        m ^= low
-    return ExactResult(size=size, witness=tuple(witness), explored=explored)
+    witness = tuple(iter_bits(mask))
+    return ExactResult(size=len(witness), witness=witness, explored=explored)
 
 
 def min_ds(g: Graph, *, budget: int = DEFAULT_BUDGET) -> ExactResult:

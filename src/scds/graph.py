@@ -182,11 +182,33 @@ def is_connected(g: Graph) -> bool:
     return reached == g.n
 
 
+def reach_within(g: Graph, mask: int) -> int:
+    """The vertices of ``mask`` reachable from its smallest one inside the
+    subgraph it induces; G[mask] is connected iff that is all of ``mask``."""
+    seen = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        for v in iter_bits(frontier):
+            grown |= g.neighbor_mask(v)
+        frontier = grown & mask & ~seen
+        seen |= frontier
+    return seen
+
+
 def pendant_and_support(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
     """Degree-1 vertices and the set of their (unique) neighbors."""
     pendants = frozenset(v for v in range(g.n) if g.degree(v) == 1)
     supports = frozenset(g.neighbors(v)[0] for v in pendants)
     return pendants, supports
+
+
+def scds_forced(g: Graph) -> frozenset[int]:
+    """Pendants and supports when n >= 3 (every SCDS of a connected graph
+    then contains them, so the exact oracle may force them), else nothing."""
+    if g.n < 3:
+        return frozenset()
+    pendants, supports = pendant_and_support(g)
+    return pendants | supports
 
 
 def bipartition(g: Graph) -> Bipartition | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Bipartition, Graph, bipartition, check_bipartition, iter_bits, mask_from
+from .graph import Bipartition, Graph, bipartition, check_bipartition, iter_bits, mask_from, reach_within
 
 
 def _validate_permutation(g: Graph, order: Sequence[int]) -> None:
@@ -104,15 +104,7 @@ def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> None:
 
 def _connected_within(tree: Graph, nodes: frozenset[int]) -> bool:
     node_mask = mask_from(nodes)
-    seen = node_mask & -node_mask
-    frontier = seen
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= tree.neighbor_mask(v)
-        frontier = grown & node_mask & ~seen
-        seen |= frontier
-    return seen == node_mask
+    return reach_within(tree, node_mask) == node_mask
 
 
 def _is_comb(tree: Graph, left: frozenset[int]) -> bool:

@@ -22,10 +22,8 @@ def is_ds_naive(g, s):
     return all(v in s or nbrs(g, v) & s for v in range(g.n))
 
 
-def induced_connected_naive(g, s):
-    s = set(s)
-    if not s:
-        return False
+def reach_naive(g, s):
+    """Vertices of the nonempty set s reachable from min(s) inside s."""
     start = min(s)
     seen = {start}
     stack = [start]
@@ -35,7 +33,12 @@ def induced_connected_naive(g, s):
             if w in s and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == s
+    return seen
+
+
+def induced_connected_naive(g, s):
+    s = set(s)
+    return bool(s) and reach_naive(g, s) == s
 
 
 def is_cds_naive(g, s):
@@ -58,6 +61,33 @@ def is_scds_naive(g, s):
 def defenders_naive(g, s, u):
     s = set(s)
     return {v for v in nbrs(g, u) & s if is_cds_naive(g, (s - {v}) | {u})}
+
+
+def first_failure_naive(g, s, problem):
+    """(vertex, reason) explaining why s fails problem, or None if it passes.
+
+    Undominated vertices first, then vertices of s that the search from
+    min(s) inside s misses, then outside vertices without a defender; the
+    smallest vertex of the first kind found.  The empty set on the empty
+    graph fails cds and scds as (-1, "unknown").
+    """
+    s = set(s)
+    for v in range(g.n):
+        if v not in s and not nbrs(g, v) & s:
+            return v, "undominated"
+    if problem == "ds":
+        return None
+    if not s:
+        return -1, "unknown"
+    unreached = s - reach_naive(g, s)
+    if unreached:
+        return min(unreached), "disconnected"
+    if problem == "cds":
+        return None
+    for u in range(g.n):
+        if u not in s and not defenders_naive(g, s, u):
+            return u, "undefended"
+    return None
 
 
 def _smallest(g, feasible):

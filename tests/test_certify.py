@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from bruteforce import defenders_naive, is_cds_naive, is_ds_naive, is_scds_naive
+from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
-from scds import defenders_of, is_cds, is_dominating, is_scds, pendant_and_support
+from scds import Failure, defenders_of, first_failure, is_cds, is_dominating, is_scds, pendant_and_support
 from scds.graph import Graph
 
 
@@ -108,6 +108,39 @@ def test_pendant_support_proposition_small():
                 for u in range(n):
                     if u not in s:
                         assert not defenders_of(g, s, u) & blocked
+
+
+def test_first_failure_examples():
+    p5 = path(5)
+    assert first_failure(p5, {1, 2, 3}, "scds") == Failure(0, "undefended")
+    assert first_failure(p5, {1, 2, 3}, "cds") is None
+    # undominated wins over disconnected
+    assert first_failure(p5, {0, 4}, "cds") == Failure(2, "undominated")
+    assert first_failure(p5, {0, 1, 3, 4}, "scds") == Failure(3, "disconnected")
+    empty = Graph(0, [])
+    assert first_failure(empty, (), "ds") is None
+    assert first_failure(empty, (), "cds") == Failure(-1, "unknown")
+    assert first_failure(empty, (), "scds") == Failure(-1, "unknown")
+    with pytest.raises(ValueError):
+        first_failure(p5, {1}, "vc")
+    with pytest.raises(ValueError):
+        first_failure(p5, {7}, "ds")
+
+
+def test_first_failure_matches_bruteforce_exhaustively():
+    checks = {"ds": is_dominating, "cds": is_cds, "scds": lambda g, s: is_scds(g, s) is not None}
+    undefended = 0
+    for n in range(6):
+        for g in all_graphs(n):
+            for smask in range(1 << n):
+                s = frozenset(i for i in range(n) if smask >> i & 1)
+                for problem, passes in checks.items():
+                    got = first_failure(g, s, problem)
+                    assert (got is None) == passes(g, s)
+                    want = first_failure_naive(g, s, problem)
+                    assert (None if got is None else (got.vertex, got.reason)) == want
+                    undefended += want is not None and want[1] == "undefended"
+    assert undefended > 1000  # the defender step is exercised, not just the cheap ones
 
 
 def test_out_of_range_member_raises():

@@ -1,6 +1,9 @@
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 from helpers import complete_bipartite, cycle, path
 from scds import Graph, load_graph, parse_graph, save_graph
@@ -52,6 +55,58 @@ def test_verify(tmp_path, capsys):
     code, out = run(capsys, "verify", "--problem", "cds", "--input", str(tmp_path / "c4.graph"),
                     "--set", "0,2")
     assert code == 1 and json.loads(out)["reason"] == "disconnected"
+
+
+def test_verify_failure_pins(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("0 0\n")
+    code, out = run(capsys, "verify", "--input", str(empty), "--set", "")
+    assert code == 1
+    assert json.loads(out) == {"failing_vertex": -1, "problem": "scds", "reason": "unknown"}
+    assert run(capsys, "verify", "--problem", "ds", "--input", str(empty), "--set", "")[0] == 0
+    save_graph(path(5), tmp_path / "p5.graph")
+    for problem in ("cds", "scds"):  # {0, 4} is undominating and disconnected
+        code, out = run(capsys, "verify", "--problem", problem, "--input",
+                        str(tmp_path / "p5.graph"), "--set", "0,4")
+        assert code == 1
+        assert json.loads(out) == {"failing_vertex": 2, "problem": problem, "reason": "undominated"}
+    code, out = run(capsys, "verify", "--input", str(tmp_path / "p5.graph"), "--set", "1,2,3")
+    assert code == 1
+    assert json.loads(out) == {"failing_vertex": 0, "problem": "scds", "reason": "undefended"}
+
+
+def _reject_instance(seed, core=240, outside=360):
+    """A CDS core (Hamiltonian cycle plus chords) whose outside vertices each
+    have three core neighbours, plus x on two core vertices with pendants
+    a < b: a is the first undefended vertex."""
+    rng = random.Random(seed)
+    labels = list(range(core + outside))
+    rng.shuffle(labels)
+    core_v, out_v = labels[:core], labels[core:]
+    edges = {(core_v[i], core_v[(i + 1) % core]) for i in range(core)}
+    edges |= {tuple(rng.sample(core_v, 2)) for _ in range(core)}
+    for u in out_v:
+        edges |= {(u, v) for v in rng.sample(core_v, 3)}
+    edges |= {tuple(rng.sample(out_v, 2)) for _ in range(outside // 2)}
+    x = core + outside
+    edges |= {(x, v) for v in rng.sample(core_v, 2)} | {(x, x + 1), (x, x + 2)}
+    return Graph(x + 3, edges), sorted(core_v + [x]), x + 1
+
+
+def test_verify_reject_explains_without_rescan(tmp_path, capsys, monkeypatch):
+    import scds.certify
+
+    g, s, pendant = _reject_instance(seed=1)
+    save_graph(g, tmp_path / "reject.graph")
+    calls = []
+    real = scds.certify.is_cds_mask
+    monkeypatch.setattr(scds.certify, "is_cds_mask", lambda *a: calls.append(1) or real(*a))
+    code, out = run(capsys, "verify", "--input", str(tmp_path / "reject.graph"),
+                    "--set", ",".join(map(str, s)))
+    assert code == 1
+    assert json.loads(out) == {"failing_vertex": pendant, "problem": "scds", "reason": "undefended"}
+    # one CDS check for the verdict; a per-vertex defenders_of rescan would make hundreds
+    assert 1 <= len(calls) <= 2
 
 
 def test_approx_json_shape(tmp_path, capsys):
@@ -188,13 +243,18 @@ def test_bench_blank_gamma_when_budget_exceeded(capsys):
 
 
 def test_module_entrypoint_subprocess(tmp_path):
+    import scds
+
+    # The child finds the package where this process did, installed or not.
+    src = str(Path(scds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     save_graph(path(3), tmp_path / "p3.graph")
     proc = subprocess.run(
         [sys.executable, "-m", "scds.cli", "solve", "--input", str(tmp_path / "p3.graph")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 3
     proc = subprocess.run([sys.executable, "-m", "scds.cli", "nonsense"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from bruteforce import reach_naive
 from helpers import all_graphs, complete, cycle, path, star
 from scds import Graph, GraphFormatError, bipartition, is_connected, pendant_and_support
 from scds.graph import (
@@ -12,6 +13,8 @@ from scds.graph import (
     induced_subgraph,
     mask_from,
     parse_graph,
+    reach_within,
+    scds_forced,
 )
 
 
@@ -115,6 +118,23 @@ def test_pendant_and_support():
     assert pendant_and_support(path(3)) == (frozenset({0, 2}), frozenset({1}))
     assert pendant_and_support(cycle(4)) == (frozenset(), frozenset())
     assert pendant_and_support(star(4)) == (frozenset({1, 2, 3, 4}), frozenset({0}))
+
+
+def test_scds_forced():
+    assert scds_forced(path(2)) == frozenset()  # n < 3: both vertices are pendants
+    assert scds_forced(path(4)) == frozenset(range(4))
+    assert scds_forced(star(3)) == frozenset(range(4))
+    assert scds_forced(cycle(5)) == frozenset()
+
+
+def test_reach_within_matches_naive_search():
+    assert reach_within(path(4), 0) == 0
+    assert reach_within(path(4), mask_from({0, 1, 3})) == mask_from({0, 1})
+    assert reach_within(path(4), mask_from({1, 2, 3})) == mask_from({1, 2, 3})
+    for g in all_graphs(4):
+        for mask in range(1, 1 << g.n):
+            s = {v for v in range(g.n) if mask >> v & 1}
+            assert reach_within(g, mask) == mask_from(reach_naive(g, s))
 
 
 def test_pendant_has_unique_neighbor_in_supports():
