@@ -4,7 +4,16 @@ and the full family of hardness gadget constructions with witness builders
 and solution extractors."""
 
 from .approx import ApproxOutcome, approx_scds, approx_scds_solver, dom_set_approx, greedy_cds, greedy_ds
-from .certify import Failure, SecurityCertificate, defenders_of, first_failure, is_cds, is_dominating, is_scds
+from .certify import (
+    Failure,
+    SecurityCertificate,
+    defenders_of,
+    first_failure,
+    is_cds,
+    is_dominating,
+    is_scds,
+    verdict,
+)
 from .chain import (
     ChainOrdering,
     ChainOptimalityReport,
@@ -58,10 +67,7 @@ from .reductions import (
     dom_to_mscds_bipartite,
     dom_to_mscds_general,
     dom_to_star_convex,
-    extract_ds_from_apx,
-    extract_ds_from_comb,
     extract_ds_from_gadget,
-    extract_ds_from_star,
     extract_set_cover,
     extract_vertex_cover,
     gc_canonical_scds,
@@ -76,7 +82,7 @@ __all__ = [
     "ApproxOutcome", "approx_scds", "approx_scds_solver", "dom_set_approx",
     "greedy_cds", "greedy_ds",
     "Failure", "SecurityCertificate", "defenders_of", "first_failure", "is_cds",
-    "is_dominating", "is_scds",
+    "is_dominating", "is_scds", "verdict",
     "ChainOrdering", "ChainOptimalityReport", "chain_optimality_report",
     "chain_ordering", "chain_scds_upper_bound",
     "DEFAULT_BUDGET", "BudgetExceededError", "ExactResult",
@@ -92,8 +98,7 @@ __all__ = [
     "chordal_bipartite_check_bounded", "validate_tree_convex",
     "ReductionArtifact", "dom3_to_mscds_apx", "dom_to_comb_convex",
     "dom_to_mscds_bipartite", "dom_to_mscds_general", "dom_to_star_convex",
-    "extract_ds_from_apx", "extract_ds_from_comb", "extract_ds_from_gadget",
-    "extract_ds_from_star", "extract_set_cover", "extract_vertex_cover",
+    "extract_ds_from_gadget", "extract_set_cover", "extract_vertex_cover",
     "gc_canonical_scds", "gc_ds_transfer", "gc_graph",
     "scds_from_vertex_cover", "setcover_to_doubly_chordal",
     "vc_to_chordal_bipartite",

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
 
-from .certify import is_dominating, is_dominating_mask, is_scds
+from .certify import is_dominating_mask, is_scds
 from .exact import DEFAULT_BUDGET, BudgetExceededError
 from .graph import (
     DisconnectedGraphError,
@@ -30,7 +30,7 @@ from .graph import (
     iter_bits,
     mask_from,
 )
-from .reductions import dom_to_mscds_general
+from .reductions import dom_to_mscds_general, extract_ds_from_gadget
 
 
 @dataclass(frozen=True)
@@ -172,13 +172,7 @@ def dom_set_approx(
             if is_dominating_mask(g, mask_from(combo)):
                 return frozenset(combo)
     art = dom_to_mscds_general(g)
-    s = frozenset(scds_solver(art.graph))
-    if is_scds(art.graph, s) is None:
-        raise ValueError("the supplied solver did not return a secure connected dominating set")
-    out = s & frozenset(range(g.n))
-    if not is_dominating(g, out):
-        raise RuntimeError("gadget route produced a non-dominating restriction")
-    return out
+    return extract_ds_from_gadget(art, scds_solver(art.graph))
 
 
 def approx_scds_solver(g: Graph) -> frozenset[int]:

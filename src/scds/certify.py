@@ -18,12 +18,14 @@ the world per swap:
   component of G[S] - v, read off a single DFS of G[S] with articulation
   (lowpoint) information.
 
-``first_failure`` explains a rejection by the first :class:`Failure` that
-applies: ``undominated``, the smallest vertex outside N[S]; for cds and scds
-``disconnected``, the smallest vertex of S that a traversal of G[S] from
-min(S) misses; for scds ``undefended``, the smallest outside vertex with no
-defender, found by the defender loop that builds certificates.  The empty
-set on the empty graph has no vertex to blame: ``Failure(-1, "unknown")``.
+``verdict`` decides a set once: it returns the certificate (scds) or None
+(ds, cds) for a passing set, and otherwise the first :class:`Failure` that
+applies, which ``first_failure`` returns alone: ``undominated``, the
+smallest vertex outside N[S]; for cds and scds ``disconnected``, the
+smallest vertex of S that a traversal of G[S] from min(S) misses; for scds
+``undefended``, the smallest outside vertex with no defender, found by the
+defender loop that builds certificates.  The empty set on the empty graph
+has no vertex to blame: ``Failure(-1, "unknown")``.
 An explanation costs about one ``is_scds``, never a CDS check per swap as
 the from-the-definition :func:`defenders_of` makes.
 """
@@ -198,9 +200,11 @@ def is_scds(g: Graph, s: Iterable[int]) -> SecurityCertificate | None:
     return is_scds_mask(g, _validated_mask(g, s))
 
 
-def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
-    """Why ``s`` fails the ``ds``, ``cds`` or ``scds`` check, or None if it
-    passes; precedence and tie-breaks as in the module docstring."""
+def verdict(g: Graph, s: Iterable[int], problem: str) -> SecurityCertificate | Failure | None:
+    """Decide the ``ds``, ``cds`` or ``scds`` check on ``s`` once: a
+    :class:`SecurityCertificate` (scds) or None (ds, cds) if it passes, its
+    :class:`Failure` if not; precedence and tie-breaks as in the module
+    docstring."""
     if problem not in ("ds", "cds", "scds"):
         raise ValueError(f"unknown problem {problem!r}")
     smask = _validated_mask(g, s)
@@ -219,8 +223,15 @@ def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
         return Failure((unreached & -unreached).bit_length() - 1, "disconnected")
     if problem == "cds":
         return None
-    _, undefended = _defend(g, smask)
-    return None if undefended < 0 else Failure(undefended, "undefended")
+    defended, undefended = _defend(g, smask)
+    return Failure(undefended, "undefended") if undefended >= 0 else SecurityCertificate(defended)
+
+
+def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
+    """Why ``s`` fails the ``ds``, ``cds`` or ``scds`` check, or None if it
+    passes; the failing side of :func:`verdict`."""
+    out = verdict(g, s, problem)
+    return out if isinstance(out, Failure) else None
 
 
 def defenders_of(g: Graph, s: Iterable[int], u: int) -> frozenset[int]:

@@ -17,7 +17,7 @@ import sys
 from functools import partial
 
 from .approx import approx_scds
-from .certify import first_failure, is_cds, is_dominating, is_scds
+from .certify import Failure, verdict
 from .chain import chain_ordering, chain_scds_upper_bound
 from .exact import (
     DEFAULT_BUDGET,
@@ -115,21 +115,15 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.input)
     s = frozenset(_parse_indices(args.set, g.n, "--set"))
-    if args.problem == "scds":
-        cert = is_scds(g, s)
-        if cert is not None:
-            _emit({
-                "defenders": {str(u): str(v) for u, v in sorted(cert.defended.items())},
-                "problem": "scds",
-                "set": sorted(s),
-            })
-            return EXIT_OK
-    elif (is_cds if args.problem == "cds" else is_dominating)(g, s):
-        _emit({"problem": args.problem, "set": sorted(s)})
-        return EXIT_OK
-    failure = first_failure(g, s, args.problem)
-    _emit({"failing_vertex": failure.vertex, "problem": args.problem, "reason": failure.reason})
-    return EXIT_NEGATIVE
+    out = verdict(g, s, args.problem)
+    if isinstance(out, Failure):
+        _emit({"failing_vertex": out.vertex, "problem": args.problem, "reason": out.reason})
+        return EXIT_NEGATIVE
+    payload = {"problem": args.problem, "set": sorted(s)}
+    if out is not None:
+        payload["defenders"] = {str(u): str(v) for u, v in sorted(out.defended.items())}
+    _emit(payload)
+    return EXIT_OK
 
 
 def cmd_approx(args) -> int:
@@ -244,18 +238,15 @@ def cmd_check(args) -> int:
         _emit({"check": "tree-convex", "ok": ok})
         return EXIT_OK if ok else EXIT_NEGATIVE
     if args.checker == "chordal-bipartite":
-        verdict = chordal_bipartite_check_bounded(g, args.max_len)
-        payload = {"bound": verdict.bound, "check": "chordal-bipartite", "ok": verdict.passed}
-        if verdict.cycle is not None:
-            payload["cycle"] = list(verdict.cycle)
+        probe = chordal_bipartite_check_bounded(g, args.max_len)
+        payload = {"bound": probe.bound, "check": "chordal-bipartite", "ok": probe.passed}
+        if probe.cycle is not None:
+            payload["cycle"] = list(probe.cycle)
         _emit(payload)
-        return EXIT_OK if verdict.passed else EXIT_NEGATIVE
+        return EXIT_OK if probe.passed else EXIT_NEGATIVE
     # chain recognition
     parts = bipartition(g)
-    if parts is None:
-        _emit({"chain": False, "check": "chain"})
-        return EXIT_NEGATIVE
-    order = chain_ordering(g, parts)
+    order = None if parts is None else chain_ordering(g, parts)
     if order is None:
         _emit({"chain": False, "check": "chain"})
         return EXIT_NEGATIVE

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .certify import is_cds_mask, is_dominating_mask, is_scds_mask
-from .graph import DisconnectedGraphError, Graph, is_connected, iter_bits, mask_from
+from .graph import DisconnectedGraphError, Graph, is_connected, iter_bits, mask_from, read_header
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -166,35 +166,16 @@ def min_set_cover(inst: SetCoverInstance, *, budget: int = DEFAULT_BUDGET) -> Ex
 def parse_set_cover(text: str) -> tuple[SetCoverInstance, int]:
     """Parse the set-cover text format.
 
-    ``#`` lines are comments.  First data line is ``n m k``; then m lines,
-    each ``c e1 e2 ... ec`` (subset cardinality, then 0-based elements).
+    ``#`` lines are comments.  First data line is ``n m k``, three
+    nonnegative integers; then m lines, each ``c e1 e2 ... ec`` (subset
+    cardinality, then 0-based elements).
     Returns the instance together with the decision threshold k.
     """
-    data = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        data.append((lineno, line))
-    if not data:
-        raise SetCoverFormatError("missing header line 'n m k'")
-    lineno, header = data[0]
-    fields = header.split()
-    if len(fields) != 3:
-        raise SetCoverFormatError(f"line {lineno}: header must be 'n m k'")
-    try:
-        n, m, k = (int(f) for f in fields)
-    except ValueError as exc:
-        raise SetCoverFormatError(f"line {lineno}: header must be three integers") from exc
-    if n < 0 or m < 0:
-        raise SetCoverFormatError(f"line {lineno}: negative counts in header")
-    if len(data) - 1 != m:
-        raise SetCoverFormatError(f"expected {m} subset lines, found {len(data) - 1}")
+    (n, _m, k), lines = read_header(text, "n m k", "subset", SetCoverFormatError)
     family = []
-    for lineno, line in data[1:]:
-        fields = line.split()
+    for lineno, line in lines:
         try:
-            values = [int(f) for f in fields]
+            values = [int(f) for f in line.split()]
         except ValueError as exc:
             raise SetCoverFormatError(f"line {lineno}: subset line must be integers") from exc
         if not values or values[0] != len(values) - 1:

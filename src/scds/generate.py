@@ -33,7 +33,7 @@ def random_connected_graph(n: int, extra_edge_prob: float = 0.3, seed: int = 0) 
         for v in range(u + 1, n):
             if (u, v) not in tree and rng.random() < extra_edge_prob:
                 edges.append((u, v))
-    return Graph.from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 def random_chain_graph(p: int, q: int, seed: int = 0) -> Graph:
@@ -50,4 +50,4 @@ def random_chain_graph(p: int, q: int, seed: int = 0) -> Graph:
     degrees = sorted(rng.randint(1, q) for _ in range(p))
     degrees[-1] = q
     edges = [(x, p + y) for x, d in enumerate(degrees) for y in range(d)]
-    return Graph.from_edge_list(p + q, edges)
+    return Graph(p + q, edges)

@@ -43,10 +43,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def set_from(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
-
-
 def format_vertex_set(s: Iterable[int]) -> str:
     """Canonical textual form: increasing indices, comma separated."""
     return ",".join(str(v) for v in sorted(s))
@@ -97,14 +93,6 @@ class Graph:
         self._nmask = nmask
         self._cmask = cmask
         return nmask, cmask
-
-    @classmethod
-    def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs; deduplicates and symmetrizes.
-
-        The result does not depend on the order of ``edges``.
-        """
-        return cls(n, edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -215,7 +203,7 @@ def bipartition(g: Graph) -> Bipartition | None:
     """Deterministic 2-coloring, or None if the graph has an odd cycle.
 
     Vertex 0 (and the smallest vertex of every further component) goes left.
-    The returned coloring is re-verified by a full edge scan.
+    The returned coloring is re-verified by :func:`check_bipartition`.
     """
     color = [-1] * g.n
     for root in range(g.n):
@@ -229,15 +217,13 @@ def bipartition(g: Graph) -> Bipartition | None:
                 if color[w] == -1:
                     color[w] = 1 - color[v]
                     queue.append(w)
-    left_mask = mask_from(v for v in range(g.n) if color[v] == 0)
-    right_mask = g.full_mask & ~left_mask
-    for v in iter_bits(left_mask):
-        if g.neighbor_mask(v) & left_mask:
-            return None
-    for v in iter_bits(right_mask):
-        if g.neighbor_mask(v) & right_mask:
-            return None
-    return Bipartition(left=set_from(left_mask), right=set_from(right_mask))
+    left = frozenset(v for v in range(g.n) if color[v] == 0)
+    parts = Bipartition(left=left, right=frozenset(range(g.n)) - left)
+    try:
+        check_bipartition(g, parts)
+    except ValueError:
+        return None
+    return parts
 
 
 def check_bipartition(g: Graph, parts: Bipartition) -> None:
@@ -266,13 +252,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(keep), edges), tuple(keep)
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the canonical text format.
+_COUNT_WORDS = {2: "two", 3: "three"}
 
-    Lines beginning ``#`` are comments.  The first data line is ``n m``;
-    exactly ``m`` data lines ``u v`` follow.  Readers accept edges in any
-    order and orientation; duplicates, self-loops and out-of-range
-    endpoints are errors.
+
+def read_header(
+    text: str, names: str, noun: str, error: type[ValueError]
+) -> tuple[list[int], list[tuple[int, str]]]:
+    """The header counts of a counted text format and its data lines.
+
+    Lines beginning ``#`` and blank lines are skipped.  The first data line
+    is the header: one nonnegative integer per name in ``names`` (``"n m"``,
+    ``"n m k"``), the second of which counts the ``noun`` lines that must
+    follow.  Returns the header values and the remaining lines as
+    (line number, stripped text); every fault raises ``error``.
     """
     data = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -281,21 +273,34 @@ def parse_graph(text: str) -> Graph:
             continue
         data.append((lineno, line))
     if not data:
-        raise GraphFormatError("missing header line 'n m'")
+        raise error(f"missing header line '{names}'")
     lineno, header = data[0]
     fields = header.split()
-    if len(fields) != 2:
-        raise GraphFormatError(f"line {lineno}: header must be 'n m'")
+    arity = len(names.split())
+    if len(fields) != arity:
+        raise error(f"line {lineno}: header must be '{names}'")
     try:
-        n, m = int(fields[0]), int(fields[1])
+        counts = [int(f) for f in fields]
     except ValueError as exc:
-        raise GraphFormatError(f"line {lineno}: header must be two integers") from exc
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: negative counts in header")
-    if len(data) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(data) - 1}")
+        raise error(f"line {lineno}: header must be {_COUNT_WORDS[arity]} integers") from exc
+    if min(counts) < 0:
+        raise error(f"line {lineno}: negative counts in header")
+    if len(data) - 1 != counts[1]:
+        raise error(f"expected {counts[1]} {noun} lines, found {len(data) - 1}")
+    return counts, data[1:]
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the canonical text format.
+
+    Lines beginning ``#`` are comments.  The first data line is ``n m``;
+    exactly ``m`` data lines ``u v`` follow.  Readers accept edges in any
+    order and orientation; duplicates, self-loops and out-of-range
+    endpoints are errors.
+    """
+    (n, m), lines = read_header(text, "n m", "edge", GraphFormatError)
     edges = []
-    for lineno, line in data[1:]:
+    for lineno, line in lines:
         fields = line.split()
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: edge line must be 'u v'")

@@ -13,9 +13,22 @@ from typing import Sequence
 from .graph import Bipartition, Graph, bipartition, check_bipartition, iter_bits, mask_from, reach_within
 
 
-def _validate_permutation(g: Graph, order: Sequence[int]) -> None:
+def _eliminates(g: Graph, order: Sequence[int], doubly: bool) -> bool:
+    """The elimination loop behind :func:`check_peo` and :func:`check_dpeo`."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
+    remaining = g.full_mask
+    for v in order:
+        later_nbrs = g.neighbor_mask(v) & remaining
+        for w in iter_bits(later_nbrs):
+            if (later_nbrs & ~(1 << w)) & ~g.neighbor_mask(w):
+                return False
+        if doubly:  # some u in N[v] whose residual N[u] holds every residual N[w], w in N[v]
+            closed = [g.closed_mask(w) & remaining for w in iter_bits(later_nbrs | 1 << v)]
+            if not any(all(not cw & ~cu for cw in closed) for cu in closed):
+                return False
+        remaining &= ~(1 << v)
+    return True
 
 
 def check_peo(g: Graph, order: Sequence[int]) -> bool:
@@ -24,15 +37,7 @@ def check_peo(g: Graph, order: Sequence[int]) -> bool:
     Each vertex must be simplicial (closed neighborhood a clique) in the
     subgraph induced by it and all later vertices.
     """
-    _validate_permutation(g, order)
-    remaining = g.full_mask
-    for v in order:
-        later_nbrs = g.neighbor_mask(v) & remaining
-        for w in iter_bits(later_nbrs):
-            if (later_nbrs & ~(1 << w)) & ~g.neighbor_mask(w):
-                return False
-        remaining &= ~(1 << v)
-    return True
+    return _eliminates(g, order, doubly=False)
 
 
 def check_dpeo(g: Graph, order: Sequence[int]) -> bool:
@@ -42,29 +47,7 @@ def check_dpeo(g: Graph, order: Sequence[int]) -> bool:
     u in the residual subgraph: N[w] within the residual is contained in
     N[u] for every residual neighbor w of v.
     """
-    _validate_permutation(g, order)
-    remaining = g.full_mask
-    for v in order:
-        later_nbrs = g.neighbor_mask(v) & remaining
-        for w in iter_bits(later_nbrs):
-            if (later_nbrs & ~(1 << w)) & ~g.neighbor_mask(w):
-                return False
-        closed_v = (later_nbrs | (1 << v))
-        has_max = False
-        for u in iter_bits(closed_v):
-            closed_u = (g.closed_mask(u) & remaining)
-            ok = True
-            for w in iter_bits(closed_v):
-                if (g.closed_mask(w) & remaining) & ~closed_u:
-                    ok = False
-                    break
-            if ok:
-                has_max = True
-                break
-        if not has_max:
-            return False
-        remaining &= ~(1 << v)
-    return True
+    return _eliminates(g, order, doubly=True)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def setcover_to_doubly_chordal(inst: SetCoverInstance) -> ReductionArtifact:
     labels[q] = "q"
     return ReductionArtifact(
         kind="setcover-dc",
-        graph=Graph.from_edge_list(n + m + 2, edges),
+        graph=Graph(n + m + 2, edges),
         labels=labels,
         param_offset=2,
         forced=frozenset({p, q}),
@@ -156,27 +156,16 @@ def dom_to_star_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
     labels = {v: f"a_{i + 1}" for i, v in enumerate(left)}
     labels.update({v: f"b_{i + 1}" for i, v in enumerate(right)})
     labels.update({a_x: "a_x", a_y: "a_y", b_x: "b_x", b_y: "b_y"})
-    star = Graph.from_edge_list(n + 4, [(a_x, a) for a in left] + [(a_x, a_y)])
+    star = Graph(n + 4, [(a_x, a) for a in left] + [(a_x, a_y)])
     return ReductionArtifact(
         kind="star-convex",
-        graph=Graph.from_edge_list(n + 4, edges),
+        graph=Graph(n + 4, edges),
         labels=labels,
         param_offset=4,
         forced=frozenset({a_x, a_y, b_x, b_y}),
         witness=TreeWitness(tree=star, kind="star"),
         source=g,
     )
-
-
-def extract_ds_from_star(art: ReductionArtifact, s: Iterable[int]) -> frozenset[int]:
-    """Drop the four added vertices; what remains dominates the source."""
-    _require_kind(art, "star-convex")
-    s = _require_scds(art, s)
-    src: Graph = art.source  # type: ignore[assignment]
-    out = s - frozenset(range(src.n, src.n + 4))
-    if not is_dominating(src, out):
-        raise RuntimeError("extracted set does not dominate the source graph")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +208,16 @@ def dom_to_comb_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
     comb_edges.append((prime_a[p - 1], a_x))
     comb_edges += [(prime_a[i], left[i]) for i in range(p)]
     comb_edges.append((a_x, a_y))
-    comb = Graph.from_edge_list(n + 2 * p + 3, comb_edges)
+    comb = Graph(n + 2 * p + 3, comb_edges)
     return ReductionArtifact(
         kind="comb-convex",
-        graph=Graph.from_edge_list(n + 2 * p + 3, edges),
+        graph=Graph(n + 2 * p + 3, edges),
         labels=labels,
         param_offset=2 * p + 3,
         forced=frozenset(prime_a) | frozenset(prime_b) | {a_x, a_y, b_x},
         witness=TreeWitness(tree=comb, kind="comb"),
         source=g,
     )
-
-
-def extract_ds_from_comb(art: ReductionArtifact, s: Iterable[int]) -> frozenset[int]:
-    """Intersect with the source vertices; the result dominates the source."""
-    _require_kind(art, "comb-convex")
-    s = _require_scds(art, s)
-    src: Graph = art.source  # type: ignore[assignment]
-    out = s & frozenset(range(src.n))
-    if not is_dominating(src, out):
-        raise RuntimeError("extracted set does not dominate the source graph")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +301,7 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
     forced.update({t, u})
     return ReductionArtifact(
         kind="chordal-bipartite",
-        graph=Graph.from_edge_list(9 * n + 8 * m + 2, edges),
+        graph=Graph(9 * n + 8 * m + 2, edges),
         labels=labels,
         param_offset=7 * n + 8 * m + 2,
         forced=frozenset(forced),
@@ -407,7 +385,7 @@ def dom_to_mscds_general(g: Graph) -> ReductionArtifact:
     labels.update({w: "w", z: "z"})
     return ReductionArtifact(
         kind="inapprox-general",
-        graph=Graph.from_edge_list(n + 2, edges),
+        graph=Graph(n + 2, edges),
         labels=labels,
         param_offset=2,
         forced=frozenset({w, z}),
@@ -439,7 +417,7 @@ def dom_to_mscds_bipartite(g: Graph, parts: Bipartition) -> ReductionArtifact:
     labels.update({w1: "w_1", w2: "w_2", z1: "z_1", z2: "z_2"})
     return ReductionArtifact(
         kind="inapprox-bipartite",
-        graph=Graph.from_edge_list(n + 4, edges),
+        graph=Graph(n + 4, edges),
         labels=labels,
         param_offset=4,
         forced=frozenset({w1, w2, z1, z2}),
@@ -448,10 +426,19 @@ def dom_to_mscds_bipartite(g: Graph, parts: Bipartition) -> ReductionArtifact:
     )
 
 
+# The gadgets that keep the source vertices at their indices, so an SCDS of
+# the gadget meets the source in a dominating set of it.
+_DS_GADGETS = ("star-convex", "comb-convex", "inapprox-general", "inapprox-bipartite", "apx-deg4")
+
+
 def extract_ds_from_gadget(art: ReductionArtifact, s: Iterable[int]) -> frozenset[int]:
-    """Intersect an SCDS of either inapproximability gadget with the source."""
-    if art.kind not in ("inapprox-general", "inapprox-bipartite"):
-        raise ValueError(f"artifact kind {art.kind!r} is not an inapproximability gadget")
+    """Intersect an SCDS of a domination gadget with the source vertices.
+
+    Covers the star-convex, comb-convex, both inapproximability and the
+    bounded-degree gadgets; the result dominates the source graph.
+    """
+    if art.kind not in _DS_GADGETS:
+        raise ValueError(f"artifact kind {art.kind!r} is not a domination gadget")
     s = _require_scds(art, s)
     src: Graph = art.source  # type: ignore[assignment]
     out = s & frozenset(range(src.n))
@@ -486,24 +473,13 @@ def dom3_to_mscds_apx(g: Graph) -> ReductionArtifact:
     labels.update({2 * n + i: f"y_{i + 1}" for i in range(n)})
     return ReductionArtifact(
         kind="apx-deg4",
-        graph=Graph.from_edge_list(3 * n, edges),
+        graph=Graph(3 * n, edges),
         labels=labels,
         param_offset=2 * n,
         forced=frozenset(range(n, 3 * n)),
         witness=None,
         source=g,
     )
-
-
-def extract_ds_from_apx(art: ReductionArtifact, s: Iterable[int]) -> frozenset[int]:
-    """Intersect an SCDS of the bounded-degree gadget with the source."""
-    _require_kind(art, "apx-deg4")
-    s = _require_scds(art, s)
-    src: Graph = art.source  # type: ignore[assignment]
-    out = s & frozenset(range(src.n))
-    if not is_dominating(src, out):
-        raise RuntimeError("extracted set does not dominate the source graph")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +510,7 @@ def gc_graph(g: Graph) -> ReductionArtifact:
     # so they sit inside every connected dominating set.
     return ReductionArtifact(
         kind="gc",
-        graph=Graph.from_edge_list(5 * n, edges),
+        graph=Graph(5 * n, edges),
         labels=labels,
         param_offset=n,
         forced=frozenset(range(3 * n)),

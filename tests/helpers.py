@@ -7,23 +7,23 @@ from scds.graph import is_connected
 
 
 def path(n):
-    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
-    return Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
-    return Graph.from_edge_list(n, list(combinations(range(n), 2)))
+    return Graph(n, list(combinations(range(n), 2)))
 
 
 def star(leaves):
-    return Graph.from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_bipartite(p, q):
-    return Graph.from_edge_list(p + q, [(x, p + y) for x in range(p) for y in range(q)])
+    return Graph(p + q, [(x, p + y) for x in range(p) for y in range(q)])
 
 
 def all_graphs(n):
@@ -31,7 +31,7 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for emask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if emask >> i & 1]
-        yield Graph.from_edge_list(n, edges)
+        yield Graph(n, edges)
 
 
 def connected_graphs(n, max_m=None):
@@ -47,7 +47,7 @@ def random_connected(n, rng, prob=0.5):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
         edges = [p for p in pairs if rng.random() < prob]
-        g = Graph.from_edge_list(n, edges)
+        g = Graph(n, edges)
         if is_connected(g):
             return g
 
@@ -57,7 +57,7 @@ def random_connected_bipartite(p, q, rng, prob=0.6):
     pairs = [(x, p + y) for x in range(p) for y in range(q)]
     while True:
         edges = [e for e in pairs if rng.random() < prob]
-        g = Graph.from_edge_list(p + q, edges)
+        g = Graph(p + q, edges)
         if is_connected(g):
             return g
 
@@ -78,4 +78,4 @@ def sparse_connected(n, seed, extra_per_vertex=0.6):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edge_list(n, list(edges))
+    return Graph(n, list(edges))

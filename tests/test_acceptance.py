@@ -159,7 +159,7 @@ def test_criterion_05_comb_convex_equivalence():
             pairs = [(x, p + y) for x in range(p) for y in range(q)]
             for emask in range(1 << len(pairs)):
                 edges = [pairs[i] for i in range(len(pairs)) if emask >> i & 1]
-                g = Graph.from_edge_list(p + q, edges)
+                g = Graph(p + q, edges)
                 if not is_connected(g):
                     continue
                 parts = Bipartition(frozenset(range(p)), frozenset(range(p, p + q)))
@@ -236,7 +236,7 @@ def test_criterion_08_apx_gadget_equality():
 def test_criterion_09_gc_family():
     started = time.monotonic()
     sources = [g for n in range(1, 4) for g in connected_graphs(n)]
-    sources.append(Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+    sources.append(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
     for g in sources:
         art = gc_graph(g)
         assert min_scds(art.graph, art.forced).size == 4 * g.n
@@ -291,8 +291,8 @@ def test_criterion_11_chain_module():
         assert built
         assert time.monotonic() - t0 < 1.0
     # independent oracle confirms the two derived gaps before they are asserted
-    k22 = Graph.from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    k23 = Graph.from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert min_scds_naive(k22)[0] == 3
     assert min_scds_naive(k23)[0] == 3
     gaps = {}
@@ -301,7 +301,7 @@ def test_criterion_11_chain_module():
             for tail in itertools.combinations_with_replacement(range(1, q + 1), p - 1):
                 degrees = list(tail) + [q]
                 edges = [(x, p + y) for x, d in enumerate(degrees) for y in range(d)]
-                g = Graph.from_edge_list(p + q, edges)
+                g = Graph(p + q, edges)
                 parts = Bipartition(frozenset(range(p)), frozenset(range(p, p + q)))
                 order = chain_ordering(g, parts)
                 assert order is not None

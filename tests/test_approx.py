@@ -35,9 +35,9 @@ def test_greedy_ds_is_dominating_on_anything():
         n = rng.randint(1, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.3]
-        g = Graph.from_edge_list(n, edges)  # possibly disconnected
+        g = Graph(n, edges)  # possibly disconnected
         assert is_dominating(g, greedy_ds(g))
-    assert greedy_ds(Graph.from_edge_list(0, [])) == frozenset()
+    assert greedy_ds(Graph(0, [])) == frozenset()
 
 
 def test_greedy_cds_examples():
@@ -45,10 +45,10 @@ def test_greedy_cds_examples():
     assert greedy_cds(path(5)) == frozenset({1, 2, 3})
     assert greedy_cds(cycle(4)) == frozenset({0, 1})
     with pytest.raises(DisconnectedGraphError):
-        greedy_cds(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+        greedy_cds(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
-        greedy_cds(Graph.from_edge_list(0, []))
-    assert greedy_cds(Graph.from_edge_list(1, [])) == frozenset({0})
+        greedy_cds(Graph(0, []))
+    assert greedy_cds(Graph(1, [])) == frozenset({0})
 
 
 def test_greedy_cds_output_is_cds():
@@ -69,7 +69,7 @@ def test_approx_scds_examples():
     out = approx_scds(star(4))
     assert out.d_sc == frozenset(range(5))
     with pytest.raises(DisconnectedGraphError):
-        approx_scds(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+        approx_scds(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_approx_scds_invariants():
@@ -88,7 +88,7 @@ def test_approx_scds_invariants():
 
 def test_residual_dominated_per_component():
     # removing the first-stage set splits the rest into two components
-    g = Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (2, 6)])
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (2, 6)])
     out = approx_scds(g)
     rest = frozenset(range(7)) - out.d_c
     for v in rest:
@@ -112,7 +112,7 @@ def test_stage_two_matches_greedy_on_induced_subgraph():
 
 
 def test_approx_scds_tiny_residuals():
-    out = approx_scds(Graph.from_edge_list(1, []))  # residual empty
+    out = approx_scds(Graph(1, []))  # residual empty
     assert (out.d_c, out.d, out.d_sc, out.ratio_bound) == (
         frozenset({0}), frozenset(), frozenset({0}), 1)
     out = approx_scds(star(1))  # residual is the single leaf
@@ -144,7 +144,7 @@ def test_dom_set_approx_errors():
     with pytest.raises(ValueError):
         dom_set_approx(path(3), 0, approx_scds_solver)
     with pytest.raises(DisconnectedGraphError):
-        dom_set_approx(Graph.from_edge_list(4, [(0, 1), (2, 3)]), 1, approx_scds_solver)
+        dom_set_approx(Graph(4, [(0, 1), (2, 3)]), 1, approx_scds_solver)
     with pytest.raises(BudgetExceededError):
         dom_set_approx(random_connected(12, random.Random(0)), 6, approx_scds_solver, budget=10)
     with pytest.raises(ValueError):

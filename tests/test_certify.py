@@ -4,7 +4,7 @@ import pytest
 
 from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
-from scds import Failure, defenders_of, first_failure, is_cds, is_dominating, is_scds, pendant_and_support
+from scds import Failure, defenders_of, first_failure, is_cds, is_dominating, is_scds, pendant_and_support, verdict
 from scds.graph import Graph
 
 
@@ -22,7 +22,7 @@ def test_is_cds_examples():
 
 
 def test_empty_set_is_never_cds():
-    assert not is_cds(Graph.from_edge_list(0, []), frozenset())
+    assert not is_cds(Graph(0, []), frozenset())
     assert not is_cds(path(3), frozenset())
 
 
@@ -46,7 +46,7 @@ def test_scds_implies_cds():
         n = rng.randint(1, 7)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.5]
-        g = Graph.from_edge_list(n, edges)
+        g = Graph(n, edges)
         smask = rng.randrange(1 << n)
         s = {i for i in range(n) if smask >> i & 1}
         if is_scds(g, s) is not None:
@@ -81,7 +81,7 @@ def test_certificate_replay_and_tiebreak():
         n = rng.randint(2, 8)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.45]
-        g = Graph.from_edge_list(n, edges)
+        g = Graph(n, edges)
         smask = rng.randrange(1, 1 << n)
         s = frozenset(i for i in range(n) if smask >> i & 1)
         cert = is_scds(g, s)
@@ -139,6 +139,8 @@ def test_first_failure_matches_bruteforce_exhaustively():
                     assert (got is None) == passes(g, s)
                     want = first_failure_naive(g, s, problem)
                     assert (None if got is None else (got.vertex, got.reason)) == want
+                    if got is None:  # a passing verdict carries the certificate for scds
+                        assert verdict(g, s, problem) == (is_scds(g, s) if problem == "scds" else None)
                     undefended += want is not None and want[1] == "undefended"
     assert undefended > 1000  # the defender step is exercised, not just the cheap ones
 

@@ -30,7 +30,7 @@ def test_recognition_examples():
 
 
 def test_recognition_requires_connected():
-    g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         chain_ordering(g, bipartition(g))
 
@@ -54,7 +54,7 @@ def test_construction_k23():
 def test_construction_staircase_all_vertices():
     # left degrees 1,2,3 over three right vertices: both fringe vertices are
     # pendants, so the construction returns everything
-    g = Graph.from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
+    g = Graph(6, [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
     order = _ordering(g)
     assert chain_scds_upper_bound(g, order) == frozenset(range(6))
 
@@ -63,7 +63,7 @@ def test_construction_rejects_bad_ordering():
     g = complete_bipartite(2, 3)
     with pytest.raises(ValueError):
         chain_scds_upper_bound(g, ChainOrdering(x_order=(0, 1), y_order=(2, 3)))
-    g2 = Graph.from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
+    g2 = Graph(6, [(0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
     with pytest.raises(ValueError):
         chain_scds_upper_bound(g2, ChainOrdering(x_order=(2, 1, 0), y_order=(3, 4, 5)))
 

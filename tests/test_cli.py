@@ -5,8 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import complete_bipartite, cycle, path
-from scds import Graph, load_graph, parse_graph, save_graph
+from scds import (
+    Graph,
+    GraphFormatError,
+    SetCoverFormatError,
+    load_graph,
+    parse_graph,
+    parse_set_cover,
+    save_graph,
+)
 from scds.cli import main
 
 
@@ -95,18 +105,70 @@ def _reject_instance(seed, core=240, outside=360):
 
 def test_verify_reject_explains_without_rescan(tmp_path, capsys, monkeypatch):
     import scds.certify
+    from scds import approx_scds
 
     g, s, pendant = _reject_instance(seed=1)
+    accepted = sorted(approx_scds(g).d_sc)
     save_graph(g, tmp_path / "reject.graph")
-    calls = []
-    real = scds.certify.is_cds_mask
-    monkeypatch.setattr(scds.certify, "is_cds_mask", lambda *a: calls.append(1) or real(*a))
+    builds = []
+    real = scds.certify._swap_structure
+    monkeypatch.setattr(scds.certify, "_swap_structure", lambda *a: builds.append(1) or real(*a))
     code, out = run(capsys, "verify", "--input", str(tmp_path / "reject.graph"),
                     "--set", ",".join(map(str, s)))
     assert code == 1
     assert json.loads(out) == {"failing_vertex": pendant, "problem": "scds", "reason": "undefended"}
-    # one CDS check for the verdict; a per-vertex defenders_of rescan would make hundreds
-    assert 1 <= len(calls) <= 2
+    # one decision explains the rejection; deciding and then explaining builds it twice
+    assert len(builds) == 1
+    builds.clear()
+    code, out = run(capsys, "verify", "--input", str(tmp_path / "reject.graph"),
+                    "--set", ",".join(map(str, accepted)))
+    assert code == 0 and json.loads(out)["set"] == accepted
+    assert len(builds) == 1
+
+
+PARSE_ERRORS = [
+    # (parser, text, message)
+    (parse_graph, "", "missing header line 'n m'"),
+    (parse_graph, "# only a comment\n\n  # another\n", "missing header line 'n m'"),
+    (parse_graph, "3\n", "line 1: header must be 'n m'"),
+    (parse_graph, "# c\n3 1 0\n", "line 2: header must be 'n m'"),
+    (parse_graph, "3 x\n", "line 1: header must be two integers"),
+    (parse_graph, "-1 0\n", "line 1: negative counts in header"),
+    (parse_graph, "3 -1\n", "line 1: negative counts in header"),
+    (parse_graph, "3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    (parse_graph, "3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
+    (parse_graph, "3 2\n0 1\n1 0\n", "duplicate edge"),
+    (parse_graph, "3 1\n\n0 3\n", "line 3: endpoint out of range"),
+    (parse_graph, "3 1\n-1 0\n", "line 2: endpoint out of range"),
+    (parse_graph, "3 1\n1 1\n", "line 2: self-loop"),
+    (parse_graph, "3 1\n0 a\n", "line 2: edge endpoints must be integers"),
+    (parse_graph, "3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
+    (parse_set_cover, "", "missing header line 'n m k'"),
+    (parse_set_cover, "# only a comment\n", "missing header line 'n m k'"),
+    (parse_set_cover, "2 1\n", "line 1: header must be 'n m k'"),
+    (parse_set_cover, "2 1 k\n", "line 1: header must be three integers"),
+    (parse_set_cover, "-2 0 1\n", "line 1: negative counts in header"),
+    (parse_set_cover, "2 -1 1\n", "line 1: negative counts in header"),
+    (parse_set_cover, "1 0 -5\n", "line 1: negative counts in header"),
+    (parse_set_cover, "2 2 1\n1 0\n", "expected 2 subset lines, found 1"),
+    (parse_set_cover, "2 0 1\n1 0\n", "expected 0 subset lines, found 1"),
+    (parse_set_cover, "2 1 1\n2 0\n", "line 2: cardinality prefix mismatch"),
+    (parse_set_cover, "2 1 1\n# c\n1 5\n", "line 3: element out of universe"),
+    (parse_set_cover, "2 1 1\n1 x\n", "line 2: subset line must be integers"),
+]
+
+
+@pytest.mark.parametrize("parser, text, message", PARSE_ERRORS)
+def test_parse_error_messages(tmp_path, capsys, parser, text, message):
+    error = GraphFormatError if parser is parse_graph else SetCoverFormatError
+    with pytest.raises(error) as info:
+        parser(text)
+    assert str(info.value) == message
+    (tmp_path / "bad.txt").write_text(text)
+    command = ["approx"] if parser is parse_graph else ["solve", "--problem", "setcover"]
+    assert main(command + ["--input", str(tmp_path / "bad.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_approx_json_shape(tmp_path, capsys):
@@ -119,12 +181,12 @@ def test_approx_json_shape(tmp_path, capsys):
 def test_reduce_writes_files_and_roundtrips(tmp_path, capsys):
     from scds import gc_graph
 
-    save_graph(Graph.from_edge_list(2, [(0, 1)]), tmp_path / "k2.graph")
+    save_graph(Graph(2, [(0, 1)]), tmp_path / "k2.graph")
     code, out = run(capsys, "reduce", "gc", "--input", str(tmp_path / "k2.graph"),
                     "--out", str(tmp_path / "gc"))
     assert code == 0
     emitted = load_graph(tmp_path / "gc.graph")
-    assert emitted == gc_graph(Graph.from_edge_list(2, [(0, 1)])).graph  # index-equal round-trip
+    assert emitted == gc_graph(Graph(2, [(0, 1)])).graph  # index-equal round-trip
     sidecar = json.loads((tmp_path / "gc.json").read_text())
     assert sidecar["kind"] == "gc"
     assert sidecar["param"] == {"offset": 2}
@@ -139,7 +201,7 @@ def test_reduce_setcover_and_witness_sidecar(tmp_path, capsys):
     assert code == 0
     sidecar = json.loads((tmp_path / "dc.json").read_text())
     assert sidecar["witness"] == {"ordering": list(range(7))}
-    save_graph(Graph.from_edge_list(2, [(0, 1)]), tmp_path / "k2.graph")
+    save_graph(Graph(2, [(0, 1)]), tmp_path / "k2.graph")
     code, _ = run(capsys, "reduce", "star-convex", "--input", str(tmp_path / "k2.graph"),
                   "--out", str(tmp_path / "star"))
     assert code == 0
@@ -154,7 +216,7 @@ def test_reduce_setcover_and_witness_sidecar(tmp_path, capsys):
 
 
 def test_reduce_precondition_exit(tmp_path, capsys):
-    save_graph(Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)]), tmp_path / "k3.graph")
+    save_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]), tmp_path / "k3.graph")
     code, _ = run(capsys, "reduce", "star-convex", "--input", str(tmp_path / "k3.graph"),
                   "--out", str(tmp_path / "x"))
     assert code == 4  # not bipartite
@@ -176,7 +238,7 @@ def test_gen_chain_deterministic(tmp_path, capsys):
 
 
 def test_gen_gc_from_k2(tmp_path, capsys):
-    save_graph(Graph.from_edge_list(2, [(0, 1)]), tmp_path / "k2.graph")
+    save_graph(Graph(2, [(0, 1)]), tmp_path / "k2.graph")
     code, out = run(capsys, "gen", "gc", "--input", str(tmp_path / "k2.graph"))
     assert code == 0
     assert parse_graph(out).n == 10
@@ -210,7 +272,7 @@ def test_check_commands(tmp_path, capsys):
     code, out = run(capsys, "check", "chain", "--input", str(tmp_path / "k23.graph"))
     assert code == 0 and json.loads(out)["x_order"] == [0, 1]
     # tree witness from a file
-    save_graph(Graph.from_edge_list(4, [(0, 2)]), tmp_path / "tree.graph")
+    save_graph(Graph(4, [(0, 2)]), tmp_path / "tree.graph")
     save_graph(path(4), tmp_path / "p4.graph")
     assert run(capsys, "check", "tree-convex", "--input", str(tmp_path / "p4.graph"),
                "--tree", str(tmp_path / "tree.graph"), "--side", "left", "--kind", "star")[0] == 0

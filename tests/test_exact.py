@@ -40,9 +40,9 @@ def test_min_cds_examples():
     assert min_cds(complete(4)).size == 1
     assert min_cds(cycle(5)).size == 3
     with pytest.raises(DisconnectedGraphError):
-        min_cds(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+        min_cds(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
-        min_cds(Graph.from_edge_list(0, []))
+        min_cds(Graph(0, []))
 
 
 def test_min_scds_examples():
@@ -52,7 +52,7 @@ def test_min_scds_examples():
     for n in range(1, 5):
         assert min_scds(complete(n)).size == 1
     with pytest.raises(DisconnectedGraphError):
-        min_scds(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+        min_scds(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         min_scds(path(3), {5})
 

@@ -18,39 +18,39 @@ from scds.graph import (
 )
 
 
-def test_from_edge_list_p3():
+def test_constructor_p3():
     g = path(3)
     assert [g.degree(v) for v in range(3)] == [1, 2, 1]
     assert g.m == 2
 
 
-def test_from_edge_list_c4():
+def test_constructor_c4():
     g = cycle(4)
     assert g.max_degree == 2
     assert g.m == 4
 
 
-def test_from_edge_list_dedups():
+def test_constructor_dedups():
     # oracle: insert normalized pairs into a set and compare
     raw = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)]
     expected = {tuple(sorted(e)) for e in raw}
-    g = Graph.from_edge_list(4, raw)
+    g = Graph(4, raw)
     assert g.m == len(expected)
     assert set(g.edges()) == expected
     # independent of input order
-    g2 = Graph.from_edge_list(4, list(reversed(raw)))
+    g2 = Graph(4, list(reversed(raw)))
     assert g == g2
 
 
-def test_from_edge_list_errors():
+def test_constructor_errors():
     with pytest.raises(ValueError):
-        Graph.from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
-        Graph.from_edge_list(3, [(-1, 0)])
+        Graph(3, [(-1, 0)])
     with pytest.raises(ValueError):
-        Graph.from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
-        Graph.from_edge_list(-1, [])
+        Graph(-1, [])
 
 
 def test_adjacency_invariants_random():
@@ -59,7 +59,7 @@ def test_adjacency_invariants_random():
         n = rng.randint(1, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.4]
-        g = Graph.from_edge_list(n, edges)
+        g = Graph(n, edges)
         for u, v in g.edges():
             assert v in g.neighbors(u) and u in g.neighbors(v)
         for v in range(n):
@@ -71,9 +71,9 @@ def test_adjacency_invariants_random():
 
 def test_is_connected():
     assert is_connected(path(3))
-    assert not is_connected(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     # C4 minus one edge: breadth-first oracle agrees
-    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     seen = {0}
     frontier = [0]
     while frontier:
@@ -81,8 +81,8 @@ def test_is_connected():
         seen.update(nxt)
         frontier = nxt
     assert is_connected(g) == (len(seen) == 4) == True  # noqa: E712
-    assert is_connected(Graph.from_edge_list(1, []))
-    assert is_connected(Graph.from_edge_list(0, []))
+    assert is_connected(Graph(1, []))
+    assert is_connected(Graph(0, []))
 
 
 def test_masks_match_adjacency():
@@ -90,7 +90,7 @@ def test_masks_match_adjacency():
     for _ in range(30):
         n = rng.randint(1, 12)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = Graph.from_edge_list(n, [p for p in pairs if rng.random() < 0.4])
+        g = Graph(n, [p for p in pairs if rng.random() < 0.4])
         for v in range(n):
             assert g.neighbor_mask(v) == mask_from(g.neighbors(v))
             assert g.closed_mask(v) == g.neighbor_mask(v) | 1 << v
@@ -143,7 +143,7 @@ def test_pendant_has_unique_neighbor_in_supports():
         n = rng.randint(2, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.3]
-        g = Graph.from_edge_list(n, edges)
+        g = Graph(n, edges)
         pendants, supports = pendant_and_support(g)
         for v in pendants:
             assert g.degree(v) == 1
@@ -187,7 +187,7 @@ def test_induced_subgraph():
 
 
 def test_format_parse_roundtrip():
-    g = Graph.from_edge_list(4, [(2, 3), (0, 1), (1, 2)])
+    g = Graph(4, [(2, 3), (0, 1), (1, 2)])
     text = format_graph(g)
     assert text == "4 3\n0 1\n1 2\n2 3\n"
     assert parse_graph(text) == g
@@ -196,7 +196,7 @@ def test_format_parse_roundtrip():
 def test_parse_accepts_any_order_and_comments():
     text = "# a comment\n4 3\n2 3\n\n1 0\n# another\n2 1\n"
     g = parse_graph(text)
-    assert g == Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    assert g == Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_parse_errors():

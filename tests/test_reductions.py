@@ -12,10 +12,7 @@ from scds import (
     dom_to_mscds_bipartite,
     dom_to_mscds_general,
     dom_to_star_convex,
-    extract_ds_from_apx,
-    extract_ds_from_comb,
     extract_ds_from_gadget,
-    extract_ds_from_star,
     extract_set_cover,
     extract_vertex_cover,
     gc_canonical_scds,
@@ -46,7 +43,7 @@ def _gadget_parts_for(art):
     return parts
 
 
-EDGE = Graph.from_edge_list(2, [(0, 1)])
+EDGE = Graph(2, [(0, 1)])
 
 
 # --- set cover -------------------------------------------------------------
@@ -109,18 +106,18 @@ def test_star_gadget_p4_and_roundtrip():
     art = dom_to_star_convex(g, bipartition(g))
     best = min_scds(art.graph, art.forced)
     assert best.size == min_ds(g).size + 4 == 6
-    extracted = extract_ds_from_star(art, set(best.witness))
+    extracted = extract_ds_from_gadget(art, set(best.witness))
     assert is_dominating(g, extracted)
-    assert extract_ds_from_star(art, range(art.graph.n)) == frozenset(range(4))
+    assert extract_ds_from_gadget(art, range(art.graph.n)) == frozenset(range(4))
     with pytest.raises(ValueError):
-        extract_ds_from_star(art, set(range(4)))  # not an SCDS
+        extract_ds_from_gadget(art, set(range(4)))  # not an SCDS
 
 
 def test_star_gadget_rejects_bad_input():
     with pytest.raises(ValueError):
         dom_to_star_convex(complete(3), Bipartition(frozenset({0}), frozenset({1, 2})))
     with pytest.raises(DisconnectedGraphError):
-        g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         dom_to_star_convex(g, bipartition(g))
 
 
@@ -140,11 +137,11 @@ def test_comb_gadget_p4_and_roundtrip():
     best = min_scds(art.graph, art.forced)
     assert best.size == min_ds(g).size + 7 == 9
     assert validate_tree_convex(art.graph, _gadget_parts_for(art), art.witness)
-    extracted = extract_ds_from_comb(art, set(best.witness))
+    extracted = extract_ds_from_gadget(art, set(best.witness))
     assert is_dominating(g, extracted)
-    assert extract_ds_from_comb(art, range(art.graph.n)) == frozenset(range(4))
+    assert extract_ds_from_gadget(art, range(art.graph.n)) == frozenset(range(4))
     with pytest.raises(ValueError):
-        extract_ds_from_comb(art, art.forced)
+        extract_ds_from_gadget(art, art.forced)
 
 
 # --- chordal bipartite -----------------------------------------------------
@@ -188,7 +185,7 @@ def test_chordal_bipartite_triangle():
 
 
 def test_chordal_bipartite_figure_instance():
-    g = Graph.from_edge_list(4, [(0, 1), (0, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (2, 3)])
     art = vc_to_chordal_bipartite(g)
     assert art.graph.n == 9 * 4 + 8 * 3 + 2 == 62
 
@@ -200,9 +197,9 @@ def test_edgeless_source_excluded_but_size_identity_holds():
     # still holds, shown here on the hand-built gadget for the one-vertex
     # source: gamma_sc = 9 = 7*1 + 8*0 + 0 + 2.
     with pytest.raises(ValueError):
-        vc_to_chordal_bipartite(Graph.from_edge_list(1, []))
+        vc_to_chordal_bipartite(Graph(1, []))
     # 0=a 1=b 2=z 3=d 4=f 5=x 6=y 7=c 8=e 9=t 10=u
-    gadget = Graph.from_edge_list(11, [
+    gadget = Graph(11, [
         (0, 1), (1, 2), (2, 3), (3, 4),
         (5, 6), (6, 7), (7, 8),
         (1, 5), (2, 6), (3, 7),
@@ -275,12 +272,12 @@ def test_apx_gadget_degree_audit():
 def test_apx_gadget_roundtrip_and_errors():
     art = dom3_to_mscds_apx(path(3))
     best = min_scds(art.graph, art.forced)
-    extracted = extract_ds_from_apx(art, set(best.witness))
+    extracted = extract_ds_from_gadget(art, set(best.witness))
     assert is_dominating(path(3), extracted)
     assert len(extracted) <= best.size - 2 * 3
-    assert extract_ds_from_apx(art, range(art.graph.n)) == frozenset(range(3))
+    assert extract_ds_from_gadget(art, range(art.graph.n)) == frozenset(range(3))
     with pytest.raises(ValueError):
-        extract_ds_from_apx(art, art.forced)
+        extract_ds_from_gadget(art, art.forced)
     with pytest.raises(ValueError):
         dom3_to_mscds_apx(star(4))  # max degree 4 > 3
 
@@ -291,7 +288,7 @@ def test_gc_values():
     art = gc_graph(EDGE)
     assert art.graph.n == 10
     assert min_scds(art.graph, art.forced).size == 8
-    single = gc_graph(Graph.from_edge_list(1, []))
+    single = gc_graph(Graph(1, []))
     assert min_scds(single.graph, single.forced).size == 4
     assert gc_canonical_scds(art) == frozenset(range(8))
 
