@@ -3,11 +3,10 @@ oracles, a (max degree + 1)-factor approximation, chain-graph machinery,
 and the full family of hardness gadget constructions with witness builders
 and solution extractors."""
 
-from .approx import ApproxOutcome, approx_scds, approx_scds_solver, dom_set_approx, greedy_cds, greedy_ds
+from .approx import ApproxOutcome, approx_scds, dom_set_approx, greedy_cds, greedy_ds
 from .certify import (
     Failure,
     SecurityCertificate,
-    defenders_of,
     first_failure,
     is_cds,
     is_dominating,
@@ -44,8 +43,6 @@ from .graph import (
     GraphFormatError,
     bipartition,
     format_graph,
-    format_vertex_set,
-    induced_subgraph,
     is_connected,
     load_graph,
     parse_graph,
@@ -79,9 +76,8 @@ from .reductions import (
 )
 
 __all__ = [
-    "ApproxOutcome", "approx_scds", "approx_scds_solver", "dom_set_approx",
-    "greedy_cds", "greedy_ds",
-    "Failure", "SecurityCertificate", "defenders_of", "first_failure", "is_cds",
+    "ApproxOutcome", "approx_scds", "dom_set_approx", "greedy_cds", "greedy_ds",
+    "Failure", "SecurityCertificate", "first_failure", "is_cds",
     "is_dominating", "is_scds", "verdict",
     "ChainOrdering", "ChainOptimalityReport", "chain_optimality_report",
     "chain_ordering", "chain_scds_upper_bound",
@@ -91,9 +87,8 @@ __all__ = [
     "min_vertex_cover", "parse_set_cover",
     "random_chain_graph", "random_connected_graph",
     "Bipartition", "DisconnectedGraphError", "Graph", "GraphFormatError",
-    "bipartition", "format_graph", "format_vertex_set", "induced_subgraph",
-    "is_connected", "load_graph", "parse_graph", "pendant_and_support",
-    "save_graph",
+    "bipartition", "format_graph", "is_connected", "load_graph", "parse_graph",
+    "pendant_and_support", "save_graph",
     "ChordalBipartiteVerdict", "TreeWitness", "check_dpeo", "check_peo",
     "chordal_bipartite_check_bounded", "validate_tree_convex",
     "ReductionArtifact", "dom3_to_mscds_apx", "dom_to_comb_convex",

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Callable, Iterable
 
 from .certify import is_dominating_mask, is_scds
-from .exact import DEFAULT_BUDGET, BudgetExceededError
+from .exact import DEFAULT_BUDGET, _min_subset
 from .graph import (
     DisconnectedGraphError,
     Graph,
@@ -152,29 +150,17 @@ def dom_set_approx(
     """Dominating set via bounded exact search, else via the SCDS route.
 
     If some dominating set of size at most ``k`` exists (decided exactly by
-    enumerating all vertex subsets of size up to k), the smallest such set
-    is returned.  Otherwise the universal-vertex gadget is built,
-    ``scds_solver`` produces an SCDS of it, and the solution restricted to
-    the original vertices is returned; that restriction is always a
-    dominating set.
+    the exact oracles' enumerator, under the same budget), the smallest such
+    set, lexicographically first, is returned.  Otherwise the universal-vertex
+    gadget is built, ``scds_solver`` produces an SCDS of it, and its
+    restriction to the original vertices, always a dominating set, is returned.
     """
     if k < 1:
         raise ValueError("threshold k must be at least 1")
     if not is_connected(g) or g.n == 0:
         raise DisconnectedGraphError("this routine requires a connected graph")
-    space = sum(comb(g.n, j) for j in range(min(k, g.n) + 1))
-    if space > budget:
-        raise BudgetExceededError(
-            f"bounded enumeration over {space} candidate sets exceeds budget {budget}"
-        )
-    for j in range(min(k, g.n) + 1):
-        for combo in combinations(range(g.n), j):
-            if is_dominating_mask(g, mask_from(combo)):
-                return frozenset(combo)
+    found = _min_subset(g.n, (), lambda m: is_dominating_mask(g, m), budget, most=k)
+    if found is not None:
+        return frozenset(iter_bits(found[0]))
     art = dom_to_mscds_general(g)
     return extract_ds_from_gadget(art, scds_solver(art.graph))
-
-
-def approx_scds_solver(g: Graph) -> frozenset[int]:
-    """Adapter exposing approx_scds as a plain set-valued SCDS algorithm."""
-    return approx_scds(g).d_sc

@@ -26,8 +26,7 @@ smallest vertex of S that a traversal of G[S] from min(S) misses; for scds
 ``undefended``, the smallest outside vertex with no defender, found by the
 defender loop that builds certificates.  The empty set on the empty graph
 has no vertex to blame: ``Failure(-1, "unknown")``.
-An explanation costs about one ``is_scds``, never a CDS check per swap as
-the from-the-definition :func:`defenders_of` makes.
+An explanation costs about one ``is_scds``, never a CDS check per swap.
 """
 
 from __future__ import annotations
@@ -233,19 +232,3 @@ def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
     out = verdict(g, s, problem)
     return out if isinstance(out, Failure) else None
 
-
-def defenders_of(g: Graph, s: Iterable[int], u: int) -> frozenset[int]:
-    """All v in s adjacent to u for which (s - {v}) | {u} is a CDS.
-
-    Checked directly from the definition, one swap at a time.  Raises
-    ValueError if u is a member of s.
-    """
-    smask = _validated_mask(g, s)
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for n={g.n}")
-    if smask >> u & 1:
-        raise ValueError(f"vertex {u} is inside the set")
-    ubit = 1 << u
-    out = [v for v in iter_bits(g.neighbor_mask(u) & smask)
-           if is_cds_mask(g, (smask ^ (1 << v)) | ubit)]
-    return frozenset(out)

@@ -68,6 +68,8 @@ def chain_scds_upper_bound(g: Graph, order: ChainOrdering) -> frozenset[int]:
     stars) return every vertex.  The output is certified secure on every
     call; it is an upper bound witness, not necessarily minimum.
     """
+    if g.n == 0:
+        raise ValueError("the empty graph has no secure connected dominating set")
     if not _containment_ok(g, order):
         raise ValueError("ordering violates the neighborhood containment chain")
     if sorted(order.x_order + order.y_order) != list(range(g.n)):

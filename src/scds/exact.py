@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable
 
 from .certify import is_cds_mask, is_dominating_mask, is_scds_mask
@@ -62,20 +63,27 @@ def _min_subset(
     forced: Iterable[int],
     feasible: Callable[[int], bool],
     budget: int,
+    *,
+    most: int | None = None,
 ) -> tuple[int, int] | None:
     """Smallest superset-of-forced mask over ``range(items)`` passing ``feasible``.
 
+    A candidate adds at most ``most`` free items (no cap if None), so the
+    space is the sum of C(free, j) for j <= cap, which is 2**free uncapped.
     Returns (mask, explored) or None if nothing is feasible.
     """
     forced_set = set(forced)
     free = [i for i in range(items) if i not in forced_set]
-    if 1 << len(free) > budget:
-        raise BudgetExceededError(
-            f"free-choice space 2**{len(free)} exceeds budget {budget}"
-        )
+    cap = len(free) if most is None else min(most, len(free))
+    if cap == len(free):
+        space, shown = 1 << cap, f"2**{cap}"
+    else:
+        space = shown = sum(comb(len(free), j) for j in range(cap + 1))
+    if space > budget:
+        raise BudgetExceededError(f"free-choice space {shown} exceeds budget {budget}")
     base = mask_from(forced_set)
     explored = 0
-    for k in range(len(free) + 1):
+    for k in range(cap + 1):
         for combo in combinations(free, k):
             mask = base | mask_from(combo)
             explored += 1

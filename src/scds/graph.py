@@ -7,10 +7,10 @@ bitmasks where bit ``v`` stands for vertex ``v``.  The text file format is
 documented on :func:`parse_graph`.
 
 A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
-memory, so parsing, :func:`is_connected`, :func:`pendant_and_support` and
-:func:`induced_subgraph` stay linear.  The Θ(n²)-bit neighbourhood masks are
-built on the first mask call; the certifiers, the exact oracles, the greedy
-stages of the approximation and the graph-class validators pay for them.
+memory, so parsing, :func:`is_connected` and :func:`pendant_and_support`
+stay linear.  The Θ(n²)-bit neighbourhood masks are built on the first mask
+call; the certifiers, the exact oracles, the greedy stages of the
+approximation and the graph-class validators pay for them.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def format_vertex_set(s: Iterable[int]) -> str:
-    """Canonical textual form: increasing indices, comma separated."""
-    return ",".join(str(v) for v in sorted(s))
-
-
 class Graph:
     """Simple undirected graph, immutable after construction.
 
@@ -55,13 +50,13 @@ class Graph:
     strictly increasing tuples and symmetric; no self-loops or duplicate
     edges survive construction.  Construction builds only the adjacency
     lists, in O(n + m) time and memory.  The per-vertex bitmasks behind
-    :meth:`neighbor_mask`, :meth:`closed_mask` and :meth:`has_edge` take
-    Θ(n²/8) bytes; they are built on the first call to any of the three,
-    so only the callers that work on masks pay for them: the certifiers,
-    the exact oracles, the greedy stages of the approximation and the
-    graph-class validators.  Instances are safe to share across threads:
-    the masks are published only once both tuples are complete, so two
-    threads racing on the first call at worst build the same tuples twice.
+    :meth:`neighbor_mask` and :meth:`closed_mask` take Θ(n²/8) bytes; they
+    are built on the first call to either, so only the callers that work on
+    masks pay for them: the certifiers, the exact oracles, the greedy stages
+    of the approximation and the graph-class validators.  Instances are safe
+    to share across threads: the masks are published only once both tuples
+    are complete, so two threads racing on the first call at worst build the
+    same tuples twice.
     """
 
     __slots__ = ("n", "m", "_adj", "_nmask", "_cmask", "_maxdeg")
@@ -119,9 +114,6 @@ class Graph:
             return self._cmask[v]
         except AttributeError:
             return self._build_masks()[1][v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_mask(u) >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -238,18 +230,6 @@ def check_bipartition(g: Graph, parts: Bipartition) -> None:
     for v in iter_bits(right_mask):
         if g.neighbor_mask(v) & right_mask:
             raise ValueError("an edge lies inside the right side of the bipartition")
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``vertices`` plus the position -> original map."""
-    keep = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = []
-    for i, v in enumerate(keep):
-        for w in g.neighbors(v):
-            if w in pos and pos[w] > i:
-                edges.append((i, pos[w]))
-    return Graph(len(keep), edges), tuple(keep)
 
 
 _COUNT_WORDS = {2: "two", 3: "three"}

@@ -8,6 +8,8 @@ no use of bitmasks, pruning or certificates.  They are deliberately slow.
 
 from itertools import combinations
 
+from scds.graph import Graph
+
 
 def nbrs(g, v):
     return set(g.neighbors(v))
@@ -61,6 +63,21 @@ def is_scds_naive(g, s):
 def defenders_naive(g, s, u):
     s = set(s)
     return {v for v in nbrs(g, u) & s if is_cds_naive(g, (s - {v}) | {u})}
+
+
+def induced_subgraph(g, vertices):
+    """Induced subgraph on ``vertices`` plus the position -> original map.
+
+    The one helper here that builds a ``Graph`` rather than reading one.
+    """
+    keep = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = []
+    for i, v in enumerate(keep):
+        for w in g.neighbors(v):
+            if w in pos and pos[w] > i:
+                edges.append((i, pos[w]))
+    return Graph(len(keep), edges), tuple(keep)
 
 
 def first_failure_naive(g, s, problem):

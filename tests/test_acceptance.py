@@ -7,7 +7,7 @@ import itertools
 import random
 import time
 
-from bruteforce import min_scds_naive
+from bruteforce import defenders_naive, min_scds_naive
 from helpers import (
     complete,
     connected_graphs,
@@ -22,14 +22,12 @@ from scds import (
     Graph,
     SetCoverInstance,
     approx_scds,
-    approx_scds_solver,
     bipartition,
     chain_optimality_report,
     chain_ordering,
     chain_scds_upper_bound,
     check_dpeo,
     chordal_bipartite_check_bounded,
-    defenders_of,
     dom3_to_mscds_apx,
     dom_set_approx,
     dom_to_comb_convex,
@@ -110,7 +108,7 @@ def test_criterion_02_pendant_support_proposition():
             if not blocked <= s:
                 violations += 1
             for u in range(n):
-                if u not in s and defenders_of(g, s, u) & blocked:
+                if u not in s and defenders_naive(g, s, u) & blocked:
                     violations += 1
     assert violations == 0
     _passed(2, started, 300, "200 graphs, every minimum set and defender conforms")
@@ -261,7 +259,7 @@ def test_criterion_10_inapproximability_gadgets():
         assert is_dominating(g, extracted)
         assert len(extracted) <= best.size - 2
         k = rng.randint(1, 3)
-        d = dom_set_approx(g, k, approx_scds_solver)
+        d = dom_set_approx(g, k, lambda h: approx_scds(h).d_sc)
         assert is_dominating(g, d)
         # bipartite variant on a bipartite source
         p = rng.randint(1, 4)

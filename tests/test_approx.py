@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from helpers import complete, cycle, path, random_connected, sparse_connected, star
+from bruteforce import induced_subgraph, min_ds_naive
+from helpers import complete, connected_graphs, cycle, path, random_connected, sparse_connected, star
 from scds import (
     BudgetExceededError,
     DisconnectedGraphError,
     Graph,
     approx_scds,
-    approx_scds_solver,
     dom_set_approx,
     greedy_cds,
     greedy_ds,
@@ -18,7 +18,11 @@ from scds import (
     min_ds,
     min_scds,
 )
-from scds.graph import induced_subgraph, is_connected
+from scds.graph import is_connected
+
+
+def approx_solver(g):
+    return approx_scds(g).d_sc
 
 
 def test_greedy_ds_examples():
@@ -122,19 +126,26 @@ def test_approx_scds_tiny_residuals():
 
 
 def test_dom_set_approx_direct_branch():
-    assert dom_set_approx(path(3), 1, approx_scds_solver) == frozenset({1})
-    assert dom_set_approx(complete(4), 1, approx_scds_solver) == frozenset({0})
+    assert dom_set_approx(path(3), 1, approx_solver) == frozenset({1})
+    assert dom_set_approx(complete(4), 1, approx_solver) == frozenset({0})
     # optimal when the direct branch fires
     rng = random.Random(17)
     for _ in range(10):
         g = random_connected(rng.randint(2, 7), rng)
         k = min_ds(g).size
-        assert len(dom_set_approx(g, k, approx_scds_solver)) == k
+        assert len(dom_set_approx(g, k, approx_solver)) == k
+    # whenever the bounded search succeeds it returns the brute-force witness:
+    # the smallest dominating set, lexicographically first among ties
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            gamma, witness = min_ds_naive(g)
+            for k in range(gamma, n + 2):
+                assert dom_set_approx(g, k, approx_solver) == frozenset(witness)
 
 
 def test_dom_set_approx_gadget_branch():
     c5 = cycle(5)
-    d = dom_set_approx(c5, 1, approx_scds_solver)
+    d = dom_set_approx(c5, 1, approx_solver)
     assert is_dominating(c5, d)
     d = dom_set_approx(star(4), 1, lambda g: frozenset(range(g.n)))
     assert d == frozenset({0})  # direct branch: the center dominates
@@ -142,11 +153,20 @@ def test_dom_set_approx_gadget_branch():
 
 def test_dom_set_approx_errors():
     with pytest.raises(ValueError):
-        dom_set_approx(path(3), 0, approx_scds_solver)
+        dom_set_approx(path(3), 0, approx_solver)
     with pytest.raises(DisconnectedGraphError):
-        dom_set_approx(Graph(4, [(0, 1), (2, 3)]), 1, approx_scds_solver)
+        dom_set_approx(Graph(4, [(0, 1), (2, 3)]), 1, approx_solver)
     with pytest.raises(BudgetExceededError):
-        dom_set_approx(random_connected(12, random.Random(0)), 6, approx_scds_solver, budget=10)
+        dom_set_approx(random_connected(12, random.Random(0)), 6, approx_solver, budget=10)
     with pytest.raises(ValueError):
         # a solver that returns garbage is rejected
         dom_set_approx(cycle(5), 1, lambda g: frozenset({0}))
+
+
+def test_dom_set_approx_budget_boundary():
+    # sizes 0..6 out of 12 vertices: 1 + 12 + 66 + 220 + 495 + 792 + 924 = 2510
+    g = random_connected(12, random.Random(0))
+    assert is_dominating(g, dom_set_approx(g, 6, approx_solver, budget=2510))
+    with pytest.raises(BudgetExceededError) as info:
+        dom_set_approx(g, 6, approx_solver, budget=2509)
+    assert str(info.value) == "free-choice space 2510 exceeds budget 2509"

@@ -4,7 +4,7 @@ import pytest
 
 from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
-from scds import Failure, defenders_of, first_failure, is_cds, is_dominating, is_scds, pendant_and_support, verdict
+from scds import Failure, first_failure, is_cds, is_dominating, is_scds, pendant_and_support, verdict
 from scds.graph import Graph
 
 
@@ -53,14 +53,6 @@ def test_scds_implies_cds():
             assert is_cds(g, s)
 
 
-def test_defenders_of_examples():
-    assert defenders_of(cycle(4), {0, 1, 2}, 3) == frozenset({0, 2})
-    with pytest.raises(ValueError):
-        defenders_of(path(3), {0, 1, 2}, 1)
-    # star with the support removed from play: the swap leaves an edgeless set
-    assert defenders_of(star(3), {0, 2, 3}, 1) == frozenset()
-
-
 def test_certify_matches_bruteforce_exhaustively():
     for n in range(1, 5):
         for g in all_graphs(n):
@@ -70,9 +62,6 @@ def test_certify_matches_bruteforce_exhaustively():
                 assert is_cds(g, s) == is_cds_naive(g, s)
                 cert = is_scds(g, s)
                 assert (cert is not None) == is_scds_naive(g, s)
-                for u in range(n):
-                    if u not in s:
-                        assert defenders_of(g, s, u) == frozenset(defenders_naive(g, s, u))
 
 
 def test_certificate_replay_and_tiebreak():
@@ -89,7 +78,7 @@ def test_certificate_replay_and_tiebreak():
             continue
         for u, v in cert.defended.items():
             assert is_cds(g, (s - {v}) | {u})
-            assert v == min(defenders_of(g, s, u))
+            assert v == min(defenders_naive(g, s, u))
         assert set(cert.defended) == set(range(n)) - s
 
 
@@ -107,7 +96,7 @@ def test_pendant_support_proposition_small():
                 assert blocked <= s
                 for u in range(n):
                     if u not in s:
-                        assert not defenders_of(g, s, u) & blocked
+                        assert not defenders_naive(g, s, u) & blocked
 
 
 def test_first_failure_examples():

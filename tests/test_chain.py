@@ -41,6 +41,14 @@ def test_construction_degenerate_star():
     assert chain_scds_upper_bound(g, order) == frozenset(range(4))
 
 
+def test_construction_rejects_empty_graph():
+    g = Graph(0, [])
+    order = _ordering(g)  # the empty graph is trivially a chain graph
+    assert order == ChainOrdering(x_order=(), y_order=())
+    with pytest.raises(ValueError, match="^the empty graph has no secure connected dominating set$"):
+        chain_scds_upper_bound(g, order)
+
+
 def test_construction_k23():
     g = complete_bipartite(2, 3)
     order = _ordering(g)

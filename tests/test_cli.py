@@ -45,7 +45,8 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert run(capsys, "solve", "--problem", "cds", "--input", str(disc))[0] == 4
     assert run(capsys, "solve", "--problem", "scds", "--input", str(disc))[0] == 4
     save_graph(cycle(4), tmp_path / "c4.graph")
-    assert run(capsys, "solve", "--input", str(tmp_path / "c4.graph"), "--budget", "2")[0] == 3
+    assert main(["solve", "--input", str(tmp_path / "c4.graph"), "--budget", "2"]) == 3
+    assert capsys.readouterr().err == "error: free-choice space 2**4 exceeds budget 2\n"
     assert run(capsys, "solve", "--input", str(tmp_path / "missing.graph"))[0] == 2
 
 
@@ -276,6 +277,62 @@ def test_check_commands(tmp_path, capsys):
     save_graph(path(4), tmp_path / "p4.graph")
     assert run(capsys, "check", "tree-convex", "--input", str(tmp_path / "p4.graph"),
                "--tree", str(tmp_path / "tree.graph"), "--side", "left", "--kind", "star")[0] == 0
+
+
+def test_check_chain_empty_graph(tmp_path, capsys):
+    (tmp_path / "empty.graph").write_text("0 0\n")
+    assert main(["check", "chain", "--input", str(tmp_path / "empty.graph")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the empty graph has no secure connected dominating set\n"
+
+
+DEGENERATE_GRAPHS = {"0 0": "0 0\n", "1 0": "1 0\n", "2 1": "2 1\n0 1\n", "3 0": "3 0\n"}
+DEGENERATE_COVERS = {"0 0 0": "0 0 0\n", "2 0 1": "2 0 1\n"}
+GRAPH_REDUCTIONS = ("star-convex", "comb-convex", "chordal-bipartite", "inapprox-general",
+                    "inapprox-bipartite", "apx-deg4", "gc")
+
+
+def _degenerate_commands(tmp_path):
+    out = str(tmp_path / "out")
+    for header, text in DEGENERATE_GRAPHS.items():
+        g = tmp_path / (header.replace(" ", "_") + ".graph")
+        g.write_text(text)
+        g = str(g)
+        every = ",".join(map(str, range(int(header.split()[0]))))
+        for problem in ("ds", "cds", "scds", "vc"):
+            yield ["solve", "--problem", problem, "--input", g]
+        for problem in ("ds", "cds", "scds"):
+            for s in ("", every):
+                yield ["verify", "--problem", problem, "--input", g, "--set", s]
+        yield ["approx", "--input", g]
+        for kind in GRAPH_REDUCTIONS:
+            yield ["reduce", kind, "--input", g, "--out", out]
+        yield ["gen", "gc", "--input", g, "--out", out + ".gen"]
+        for checker in ("peo", "dpeo"):
+            yield ["check", checker, "--input", g, "--order", every]
+        yield ["check", "tree-convex", "--input", g, "--tree", g]
+        yield ["check", "chordal-bipartite", "--input", g]
+        yield ["check", "chain", "--input", g]
+    for header, text in DEGENERATE_COVERS.items():
+        sc = tmp_path / (header.replace(" ", "_") + ".txt")
+        sc.write_text(text)
+        yield ["solve", "--problem", "setcover", "--input", str(sc)]
+        yield ["reduce", "setcover-dc", "--input", str(sc), "--out", out]
+    for n in ("0", "1", "2", "3"):
+        yield ["bench", "--count", "1", "--n", n]
+        yield ["gen", "random", "--n", n]
+    for p, q in (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")):
+        yield ["gen", "chain", "--p", p, "--q", q]
+
+
+def test_degenerate_inputs_exit_with_documented_codes(tmp_path, capsys):
+    # every command on tiny, empty and edgeless inputs ends in a documented exit
+    # code rather than a traceback
+    for argv in _degenerate_commands(tmp_path):
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), argv
 
 
 def test_bench_output_and_determinism(capsys):

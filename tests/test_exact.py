@@ -152,9 +152,19 @@ def test_budget_guard():
     g = random_connected(8, random.Random(1))
     with pytest.raises(BudgetExceededError):
         min_scds(g, budget=2 ** 6)
-    # forcing shrinks the free space under the same budget
-    pendants, supports = pendant_and_support(g)
     min_ds(g, budget=2 ** 8)
+    # forcing shrinks the free space under the same budget, and the space is
+    # exactly 2**free: a budget of 2**free runs, one less refuses
+    p7 = path(7)
+    pendants, supports = pendant_and_support(p7)
+    forced = pendants | supports
+    assert forced == frozenset({0, 1, 5, 6})  # 3 vertices stay free
+    with pytest.raises(BudgetExceededError):
+        min_scds(p7, budget=2 ** 3)
+    assert min_scds(p7, forced, budget=2 ** 3).witness == tuple(range(7))
+    with pytest.raises(BudgetExceededError) as info:
+        min_scds(p7, forced, budget=2 ** 3 - 1)
+    assert str(info.value) == "free-choice space 2**3 exceeds budget 7"
 
 
 def test_determinism():

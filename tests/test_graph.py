@@ -3,14 +3,12 @@ import tracemalloc
 
 import pytest
 
-from bruteforce import reach_naive
+from bruteforce import induced_subgraph, reach_naive
 from helpers import all_graphs, complete, cycle, path, star
 from scds import Graph, GraphFormatError, bipartition, is_connected, pendant_and_support
 from scds.graph import (
     check_bipartition,
     format_graph,
-    format_vertex_set,
-    induced_subgraph,
     mask_from,
     parse_graph,
     reach_within,
@@ -94,10 +92,7 @@ def test_masks_match_adjacency():
         for v in range(n):
             assert g.neighbor_mask(v) == mask_from(g.neighbors(v))
             assert g.closed_mask(v) == g.neighbor_mask(v) | 1 << v
-            for w in range(n):
-                assert g.has_edge(v, w) == (w in g.neighbors(v))
-    # the first mask call may be any of the three accessors
-    assert path(3).has_edge(1, 2) and not path(3).has_edge(0, 2)
+    # the first mask call may be either accessor
     assert path(3).closed_mask(0) == 0b011
 
 
@@ -214,8 +209,3 @@ def test_parse_errors():
     ):
         with pytest.raises(GraphFormatError):
             parse_graph(bad)
-
-
-def test_format_vertex_set():
-    assert format_vertex_set({3, 1, 2}) == "1,2,3"
-    assert format_vertex_set(()) == ""
