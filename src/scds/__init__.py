@@ -7,7 +7,6 @@ from .approx import ApproxOutcome, approx_scds, dom_set_approx, greedy_cds, gree
 from .certify import (
     Failure,
     SecurityCertificate,
-    first_failure,
     is_cds,
     is_dominating,
     is_scds,
@@ -77,8 +76,8 @@ from .reductions import (
 
 __all__ = [
     "ApproxOutcome", "approx_scds", "dom_set_approx", "greedy_cds", "greedy_ds",
-    "Failure", "SecurityCertificate", "first_failure", "is_cds",
-    "is_dominating", "is_scds", "verdict",
+    "Failure", "SecurityCertificate", "is_cds", "is_dominating", "is_scds",
+    "verdict",
     "ChainOrdering", "ChainOptimalityReport", "chain_optimality_report",
     "chain_ordering", "chain_scds_upper_bound",
     "DEFAULT_BUDGET", "BudgetExceededError", "ExactResult",

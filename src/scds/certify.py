@@ -20,12 +20,12 @@ the world per swap:
 
 ``verdict`` decides a set once: it returns the certificate (scds) or None
 (ds, cds) for a passing set, and otherwise the first :class:`Failure` that
-applies, which ``first_failure`` returns alone: ``undominated``, the
-smallest vertex outside N[S]; for cds and scds ``disconnected``, the
-smallest vertex of S that a traversal of G[S] from min(S) misses; for scds
-``undefended``, the smallest outside vertex with no defender, found by the
-defender loop that builds certificates.  The empty set on the empty graph
-has no vertex to blame: ``Failure(-1, "unknown")``.
+applies: ``undominated``, the smallest vertex outside N[S]; for cds and
+scds ``disconnected``, the smallest vertex of S that a traversal of G[S]
+from min(S) misses; for scds ``undefended``, the smallest outside vertex
+with no defender, found by the defender loop that builds certificates.
+The empty set on the empty graph has no vertex to blame:
+``Failure(-1, "unknown")``.
 An explanation costs about one ``is_scds``, never a CDS check per swap.
 """
 
@@ -224,11 +224,3 @@ def verdict(g: Graph, s: Iterable[int], problem: str) -> SecurityCertificate | F
         return None
     defended, undefended = _defend(g, smask)
     return Failure(undefended, "undefended") if undefended >= 0 else SecurityCertificate(defended)
-
-
-def first_failure(g: Graph, s: Iterable[int], problem: str) -> Failure | None:
-    """Why ``s`` fails the ``ds``, ``cds`` or ``scds`` check, or None if it
-    passes; the failing side of :func:`verdict`."""
-    out = verdict(g, s, problem)
-    return out if isinstance(out, Failure) else None
-

@@ -7,10 +7,11 @@ bitmasks where bit ``v`` stands for vertex ``v``.  The text file format is
 documented on :func:`parse_graph`.
 
 A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
-memory, so parsing, :func:`is_connected` and :func:`pendant_and_support`
-stay linear.  The Θ(n²)-bit neighbourhood masks are built on the first mask
-call; the certifiers, the exact oracles, the greedy stages of the
-approximation and the graph-class validators pay for them.
+memory, so parsing, :func:`is_connected`, :func:`bipartition` and
+:func:`pendant_and_support` stay linear.  The Θ(n²)-bit neighbourhood
+masks are built on the first mask call; the certifiers, the exact oracles,
+the greedy stages of the approximation and the graph-class validators pay
+for them.
 """
 
 from __future__ import annotations
@@ -195,7 +196,9 @@ def bipartition(g: Graph) -> Bipartition | None:
     """Deterministic 2-coloring, or None if the graph has an odd cycle.
 
     Vertex 0 (and the smallest vertex of every further component) goes left.
-    The returned coloring is re-verified by :func:`check_bipartition`.
+    One BFS over the adjacency lists decides: every edge is scanned from
+    both ends, so a coloring found without a same-colored edge is valid.
+    The graph's bitmasks are not built.
     """
     color = [-1] * g.n
     for root in range(g.n):
@@ -209,13 +212,10 @@ def bipartition(g: Graph) -> Bipartition | None:
                 if color[w] == -1:
                     color[w] = 1 - color[v]
                     queue.append(w)
+                elif color[w] == color[v]:
+                    return None
     left = frozenset(v for v in range(g.n) if color[v] == 0)
-    parts = Bipartition(left=left, right=frozenset(range(g.n)) - left)
-    try:
-        check_bipartition(g, parts)
-    except ValueError:
-        return None
-    return parts
+    return Bipartition(left=left, right=frozenset(range(g.n)) - left)
 
 
 def check_bipartition(g: Graph, parts: Bipartition) -> None:

@@ -73,7 +73,7 @@ def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> None:
     p = len(left)
     if p == 0:
         raise ValueError("tree witness must span a nonempty left part")
-    if len(edges) != p - 1 or not _connected_within(w.tree, left):
+    if len(edges) != p - 1 or max(left) >= w.tree.n or not _connected_within(w.tree, left):
         raise ValueError("tree witness does not span the left part as a tree")
     if w.kind == "star":
         if p > 2 and not any(w.tree.degree(c) == p - 1 for c in left):

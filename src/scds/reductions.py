@@ -62,6 +62,23 @@ def _require_scds(art: ReductionArtifact, s: Iterable[int]) -> frozenset[int]:
     return s
 
 
+def _bipartite_source(
+    g: Graph, parts: Bipartition, what: str, left_letter: str, right_letter: str
+) -> tuple[list[int], list[int], list[tuple[int, int]], dict[int, str]]:
+    """The checks and vertex data every bipartite-source gadget starts from.
+
+    Requires ``g`` connected and ``parts`` a bipartition of it; returns the
+    sorted left and right sides, the source edges, and labels naming the
+    i-th vertex of each side ``<letter>_i``.
+    """
+    _require_connected(g, what)
+    check_bipartition(g, parts)
+    left, right = sorted(parts.left), sorted(parts.right)
+    labels = {v: f"{left_letter}_{i + 1}" for i, v in enumerate(left)}
+    labels.update({v: f"{right_letter}_{i + 1}" for i, v in enumerate(right)})
+    return left, right, g.edges(), labels
+
+
 # ---------------------------------------------------------------------------
 # set cover -> doubly chordal graph
 
@@ -143,18 +160,12 @@ def dom_to_star_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
     a_y witnesses star convexity.  Dominating sets of size k correspond to
     secure connected dominating sets of size k + 4.
     """
-    _require_connected(g, "star-convex reduction")
-    check_bipartition(g, parts)
+    left, right, edges, labels = _bipartite_source(g, parts, "star-convex reduction", "a", "b")
     n = g.n
     a_x, a_y, b_x, b_y = n, n + 1, n + 2, n + 3
-    left = sorted(parts.left)
-    right = sorted(parts.right)
-    edges = g.edges()
     edges += [(a_x, b) for b in right]
     edges += [(b_x, a) for a in left]
     edges += [(a_x, b_x), (a_x, b_y), (b_x, a_y)]
-    labels = {v: f"a_{i + 1}" for i, v in enumerate(left)}
-    labels.update({v: f"b_{i + 1}" for i, v in enumerate(right)})
     labels.update({a_x: "a_x", a_y: "a_y", b_x: "b_x", b_y: "b_y"})
     star = Graph(n + 4, [(a_x, a) for a in left] + [(a_x, a_y)])
     return ReductionArtifact(
@@ -182,25 +193,19 @@ def dom_to_comb_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
     backbone vertex witnesses comb convexity.  Dominating sets of size k
     correspond to secure connected dominating sets of size k + 2p + 3.
     """
-    _require_connected(g, "comb-convex reduction")
-    check_bipartition(g, parts)
+    left, right, edges, labels = _bipartite_source(g, parts, "comb-convex reduction", "a", "b")
     n = g.n
-    left = sorted(parts.left)
-    right = sorted(parts.right)
     p = len(left)
     if p < 1:
         raise ValueError("comb-convex reduction requires a nonempty left side")
     prime_a = [n + i for i in range(p)]
     prime_b = [n + p + i for i in range(p)]
     a_x, a_y, b_x = n + 2 * p, n + 2 * p + 1, n + 2 * p + 2
-    edges = g.edges()
     edges += [(pa, b) for pa in prime_a for b in right]
     edges += [(prime_a[i], prime_b[i]) for i in range(p)]
     edges += [(a, b_x) for a in left]
     edges += [(pa, b_x) for pa in prime_a]
     edges += [(a_x, b_x), (a_y, b_x)]
-    labels = {v: f"a_{i + 1}" for i, v in enumerate(left)}
-    labels.update({v: f"b_{i + 1}" for i, v in enumerate(right)})
     labels.update({prime_a[i]: f"a'_{p + 1 + i}" for i in range(p)})
     labels.update({prime_b[i]: f"b'_{p + 1 + i}" for i in range(p)})
     labels.update({a_x: "a_x", a_y: "a_y", b_x: "b_x"})
@@ -223,6 +228,18 @@ def dom_to_comb_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
 # ---------------------------------------------------------------------------
 # vertex cover -> chordal bipartite
 
+# Index layout of the chordal-bipartite gadget.  Source vertex i owns the
+# block 9i .. 9i + 8, named in _BLOCK order.  Source edge e = (i, j), in
+# g.edges() order, owns 9n + 8e .. 9n + 8e + 7: p_ij, q_ij, r_ij, s_ij, then
+# p_ji, q_ji, r_ji, s_ji.  t = 9n + 8m and u = t + 1 end the range.  The
+# forced part is everything but x_i, y_i and z_i.
+_BLOCK = ("a", "b", "z", "d", "f", "x", "y", "c", "e")
+_X, _Y, _Z = _BLOCK.index("x"), _BLOCK.index("y"), _BLOCK.index("z")
+
+
+def _vb(i: int, off: int) -> int:
+    return 9 * i + off
+
 
 def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
     """Chordal bipartite gadget: 9 vertices per source vertex, 8 per edge.
@@ -231,11 +248,11 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
     a_i-b_i-z_i-d_i-f_i, top path x_i-y_i-c_i-e_i, rungs (b_i,x_i),
     (z_i,y_i), (d_i,c_i).  Each source edge (i,j) adds two 4-vertex
     attachments: p_ij-q_ij hanging off x_i with r_ij-s_ij hanging off y_j
-    (joined by p_ij~r_ij and x_i~y_j), and the mirror-image one for (j,i).
-    On top of that, x_i and z_i are adjacent to every y_j, and two global
-    vertices t (adjacent to all y's) and u (adjacent to all x's and z's)
-    are joined by an edge.  Vertex covers of size k correspond to secure
-    connected dominating sets of size 7n + 8m + k + 2.
+    (joined by p_ij~r_ij), and the mirror-image one for (j,i).  On top of
+    that, x_i and z_i are adjacent to every y_j, and two global vertices t
+    (adjacent to all y's) and u (adjacent to all x's and z's) are joined by
+    an edge.  Vertex covers of size k correspond to secure connected
+    dominating sets of size 7n + 8m + k + 2.
 
     The source must have at least one edge.  An edgeless source is a
     vacuous cover instance, and its empty cover breaks the witness recipe:
@@ -247,64 +264,33 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
     if g.m == 0:
         raise ValueError("chordal-bipartite reduction requires a source with an edge")
     n, m = g.n, g.m
-    src_edges = g.edges()
-    A, B, Z, D, F, X, Y, C, E = range(9)
     t = 9 * n + 8 * m
     u = t + 1
-
-    def vb(i: int, off: int) -> int:
-        return 9 * i + off
-
-    def eb(e: int, off: int) -> int:
-        return 9 * n + 8 * e + off
-
-    edges: list[tuple[int, int]] = []
+    ys = [_vb(j, _Y) for j in range(n)]
+    edges: list[tuple[int, int]] = [(t, u)]
+    labels = {t: "t", u: "u"}
     for i in range(n):
-        a, b, z, d, f = (vb(i, o) for o in (A, B, Z, D, F))
-        x, y, c, e_ = (vb(i, o) for o in (X, Y, C, E))
-        edges += [(a, b), (b, z), (z, d), (d, f)]
-        edges += [(x, y), (y, c), (c, e_)]
-        edges += [(b, x), (z, y), (d, c)]
-    for e, (i, j) in enumerate(src_edges):
-        pij, qij, rij, sij = (eb(e, o) for o in (0, 1, 2, 3))
-        pji, qji, rji, sji = (eb(e, o) for o in (4, 5, 6, 7))
-        edges += [(vb(i, X), pij), (pij, qij), (vb(j, Y), rij), (rij, sij),
-                  (vb(i, X), vb(j, Y)), (pij, rij)]
-        edges += [(vb(j, X), pji), (pji, qji), (vb(i, Y), rji), (rji, sji),
-                  (vb(j, X), vb(i, Y)), (pji, rji)]
-    for i in range(n):
-        for j in range(n):
-            edges += [(vb(i, X), vb(j, Y)), (vb(i, Z), vb(j, Y))]
-    for i in range(n):
-        edges += [(vb(i, X), u), (vb(i, Z), u), (vb(i, Y), t)]
-    edges.append((t, u))
-
-    names = ("a", "b", "z", "d", "f", "x", "y", "c", "e")
-    labels: dict[int, str] = {}
-    for i in range(n):
-        for off, name in enumerate(names):
-            labels[vb(i, off)] = f"{name}_{i + 1}"
-    for e, (i, j) in enumerate(src_edges):
-        ij = f"{i + 1}{j + 1}"
-        ji = f"{j + 1}{i + 1}"
-        for off, name in zip(range(8), (f"p_{ij}", f"q_{ij}", f"r_{ij}", f"s_{ij}",
-                                        f"p_{ji}", f"q_{ji}", f"r_{ji}", f"s_{ji}")):
-            labels[eb(e, off)] = name
-    labels[t] = "t"
-    labels[u] = "u"
-
-    forced = set()
-    for i in range(n):
-        forced.update(vb(i, o) for o in (A, B, C, D, E, F))
-    for e in range(m):
-        forced.update(eb(e, o) for o in range(8))
-    forced.update({t, u})
+        a, b, z, d, f, x, y, c, e_ = (_vb(i, off) for off in range(9))
+        edges += [(a, b), (b, z), (z, d), (d, f), (x, y), (y, c), (c, e_)]
+        edges += [(b, x), (z, y), (d, c), (x, u), (z, u), (y, t)]
+        edges += [(x, w) for w in ys] + [(z, w) for w in ys]
+        labels.update({_vb(i, off): f"{name}_{i + 1}" for off, name in enumerate(_BLOCK)})
+    for e, (i, j) in enumerate(g.edges()):
+        first = 9 * n + 8 * e
+        pij, qij, rij, sij, pji, qji, rji, sji = range(first, first + 8)
+        edges += [(_vb(i, _X), pij), (pij, qij), (_vb(j, _Y), rij), (rij, sij), (pij, rij)]
+        edges += [(_vb(j, _X), pji), (pji, qji), (_vb(i, _Y), rji), (rji, sji), (pji, rji)]
+        ij, ji = f"{i + 1}{j + 1}", f"{j + 1}{i + 1}"
+        names = [f"{c}_{ij}" for c in "pqrs"] + [f"{c}_{ji}" for c in "pqrs"]
+        labels.update(zip(range(first, first + 8), names))
+    fixed = [off for off in range(9) if off not in (_X, _Y, _Z)]
+    forced = frozenset(_vb(i, off) for i in range(n) for off in fixed)
     return ReductionArtifact(
         kind="chordal-bipartite",
-        graph=Graph(9 * n + 8 * m + 2, edges),
+        graph=Graph(u + 1, edges),
         labels=labels,
         param_offset=7 * n + 8 * m + 2,
-        forced=frozenset(forced),
+        forced=forced | frozenset(range(9 * n, u + 1)),
         witness=None,
         source=g,
     )
@@ -313,8 +299,8 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
 def scds_from_vertex_cover(art: ReductionArtifact, vc: Iterable[int]) -> frozenset[int]:
     """Certified SCDS of size exactly 7n + 8m + |vc| + 2 from a vertex cover.
 
-    Takes all a..f block vertices, all edge-attachment vertices, x_i and
-    y_i for covered i, z_i for uncovered i, plus t and u.
+    Takes the forced part (a..f of every block, every edge-attachment
+    vertex, t and u), x_i and y_i for covered i, and z_i for uncovered i.
     """
     _require_kind(art, "chordal-bipartite")
     src: Graph = art.source  # type: ignore[assignment]
@@ -324,19 +310,11 @@ def scds_from_vertex_cover(art: ReductionArtifact, vc: Iterable[int]) -> frozens
             raise ValueError(f"vertex {v} out of range for the source graph")
     if any(i not in vc and j not in vc for i, j in src.edges()):
         raise ValueError("input set is not a vertex cover of the source graph")
-    n, m = src.n, src.m
-    s = set()
-    for i in range(n):
-        s.update(9 * i + o for o in (0, 1, 3, 4, 7, 8))  # a,b,d,f,c,e
-        if i in vc:
-            s.update({9 * i + 5, 9 * i + 6})  # x_i, y_i
-        else:
-            s.add(9 * i + 2)  # z_i
-    for e in range(m):
-        s.update(9 * n + 8 * e + o for o in range(8))
-    s.update({9 * n + 8 * m, 9 * n + 8 * m + 1})  # t, u
+    s = set(art.forced)
+    for i in range(src.n):
+        s.update((_vb(i, _X), _vb(i, _Y)) if i in vc else (_vb(i, _Z),))
     out = frozenset(s)
-    assert len(out) == 7 * n + 8 * m + len(vc) + 2
+    assert len(out) == art.param_offset + len(vc)
     if is_scds(art.graph, out) is None:
         raise RuntimeError("constructed set failed the security certification")
     return out
@@ -352,10 +330,9 @@ def extract_vertex_cover(art: ReductionArtifact, s: Iterable[int]) -> frozenset[
     _require_kind(art, "chordal-bipartite")
     s = _require_scds(art, s)
     src: Graph = art.source  # type: ignore[assignment]
-    n, m = src.n, src.m
     work = set(s)
-    for i in range(n):
-        x, y, z = 9 * i + 5, 9 * i + 6, 9 * i + 2
+    for i in range(src.n):
+        x, y, z = _vb(i, _X), _vb(i, _Y), _vb(i, _Z)
         if (x in work) != (y in work):
             if z not in work:
                 raise ValueError(f"cannot normalize the x/y pair of source vertex {i}")
@@ -363,10 +340,10 @@ def extract_vertex_cover(art: ReductionArtifact, s: Iterable[int]) -> frozenset[
             work.add(y if x in work else x)
     if is_scds(art.graph, work) is None:
         raise ValueError("pair normalization broke the security certificate")
-    cover = frozenset(i for i in range(n) if 9 * i + 5 in work and 9 * i + 6 in work)
+    cover = frozenset(i for i in range(src.n) if _vb(i, _X) in work and _vb(i, _Y) in work)
     if any(i not in cover and j not in cover for i, j in src.edges()):
         raise ValueError("extracted set is not a vertex cover of the source graph")
-    if len(cover) > len(s) - (7 * n + 8 * m + 2):
+    if len(cover) > len(s) - art.param_offset:
         raise ValueError("extracted cover exceeds the size bound")
     return cover
 
@@ -402,18 +379,13 @@ def dom_to_mscds_bipartite(g: Graph, parts: Bipartition) -> ReductionArtifact:
     Offset 4; the gadget stays bipartite with sides left + {w_1, z_2} and
     right + {z_1, w_2}.
     """
-    _require_connected(g, "bipartite inapproximability gadget")
-    check_bipartition(g, parts)
+    what = "bipartite inapproximability gadget"
+    left, right, edges, labels = _bipartite_source(g, parts, what, "x", "y")
     n = g.n
     w1, w2, z1, z2 = n, n + 1, n + 2, n + 3
-    left = sorted(parts.left)
-    right = sorted(parts.right)
-    edges = g.edges()
     edges += [(x, z1) for x in left]
     edges += [(y, w1) for y in right]
     edges += [(w1, w2), (z1, z2), (w1, z1)]
-    labels = {v: f"x_{i + 1}" for i, v in enumerate(left)}
-    labels.update({v: f"y_{i + 1}" for i, v in enumerate(right)})
     labels.update({w1: "w_1", w2: "w_2", z1: "z_1", z2: "z_2"})
     return ReductionArtifact(
         kind="inapprox-bipartite",

@@ -4,7 +4,7 @@ import pytest
 
 from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
-from scds import Failure, first_failure, is_cds, is_dominating, is_scds, pendant_and_support, verdict
+from scds import Failure, SecurityCertificate, is_cds, is_dominating, is_scds, pendant_and_support, verdict
 from scds.graph import Graph
 
 
@@ -101,19 +101,21 @@ def test_pendant_support_proposition_small():
 
 def test_first_failure_examples():
     p5 = path(5)
-    assert first_failure(p5, {1, 2, 3}, "scds") == Failure(0, "undefended")
-    assert first_failure(p5, {1, 2, 3}, "cds") is None
+    assert verdict(p5, {1, 2, 3}, "scds") == Failure(0, "undefended")
+    assert verdict(p5, {1, 2, 3}, "cds") is None
     # undominated wins over disconnected
-    assert first_failure(p5, {0, 4}, "cds") == Failure(2, "undominated")
-    assert first_failure(p5, {0, 1, 3, 4}, "scds") == Failure(3, "disconnected")
+    assert verdict(p5, {0, 4}, "cds") == Failure(2, "undominated")
+    assert verdict(p5, {0, 1, 3, 4}, "scds") == Failure(3, "disconnected")
+    # a passing scds carries its certificate
+    assert verdict(complete(3), {0}, "scds") == SecurityCertificate({1: 0, 2: 0})
     empty = Graph(0, [])
-    assert first_failure(empty, (), "ds") is None
-    assert first_failure(empty, (), "cds") == Failure(-1, "unknown")
-    assert first_failure(empty, (), "scds") == Failure(-1, "unknown")
+    assert verdict(empty, (), "ds") is None
+    assert verdict(empty, (), "cds") == Failure(-1, "unknown")
+    assert verdict(empty, (), "scds") == Failure(-1, "unknown")
     with pytest.raises(ValueError):
-        first_failure(p5, {1}, "vc")
+        verdict(p5, {1}, "vc")
     with pytest.raises(ValueError):
-        first_failure(p5, {7}, "ds")
+        verdict(p5, {7}, "ds")
 
 
 def test_first_failure_matches_bruteforce_exhaustively():
@@ -124,12 +126,13 @@ def test_first_failure_matches_bruteforce_exhaustively():
             for smask in range(1 << n):
                 s = frozenset(i for i in range(n) if smask >> i & 1)
                 for problem, passes in checks.items():
-                    got = first_failure(g, s, problem)
-                    assert (got is None) == passes(g, s)
+                    got = verdict(g, s, problem)
+                    failed = isinstance(got, Failure)
+                    assert failed != passes(g, s)
                     want = first_failure_naive(g, s, problem)
-                    assert (None if got is None else (got.vertex, got.reason)) == want
-                    if got is None:  # a passing verdict carries the certificate for scds
-                        assert verdict(g, s, problem) == (is_scds(g, s) if problem == "scds" else None)
+                    assert ((got.vertex, got.reason) if failed else None) == want
+                    if not failed:  # a passing verdict carries the certificate for scds
+                        assert got == (is_scds(g, s) if problem == "scds" else None)
                     undefended += want is not None and want[1] == "undefended"
     assert undefended > 1000  # the defender step is exercised, not just the cheap ones
 

@@ -287,6 +287,17 @@ def test_check_chain_empty_graph(tmp_path, capsys):
     assert captured.err == "error: the empty graph has no secure connected dominating set\n"
 
 
+def test_check_tree_convex_tree_shorter_than_left_part(tmp_path, capsys):
+    (tmp_path / "host.graph").write_text("2 1\n0 1\n")
+    (tmp_path / "tree.graph").write_text("0 0\n")
+    code = main(["check", "tree-convex", "--input", str(tmp_path / "host.graph"),
+                 "--tree", str(tmp_path / "tree.graph")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: tree witness does not span the left part as a tree\n"
+
+
 DEGENERATE_GRAPHS = {"0 0": "0 0\n", "1 0": "1 0\n", "2 1": "2 1\n0 1\n", "3 0": "3 0\n"}
 DEGENERATE_COVERS = {"0 0 0": "0 0 0\n", "2 0 1": "2 0 1\n"}
 GRAPH_REDUCTIONS = ("star-convex", "comb-convex", "chordal-bipartite", "inapprox-general",
@@ -295,9 +306,11 @@ GRAPH_REDUCTIONS = ("star-convex", "comb-convex", "chordal-bipartite", "inapprox
 
 def _degenerate_commands(tmp_path):
     out = str(tmp_path / "out")
+    graphs = {}
     for header, text in DEGENERATE_GRAPHS.items():
-        g = tmp_path / (header.replace(" ", "_") + ".graph")
-        g.write_text(text)
+        graphs[header] = tmp_path / (header.replace(" ", "_") + ".graph")
+        graphs[header].write_text(text)
+    for header, g in graphs.items():
         g = str(g)
         every = ",".join(map(str, range(int(header.split()[0]))))
         for problem in ("ds", "cds", "scds", "vc"):
@@ -311,7 +324,9 @@ def _degenerate_commands(tmp_path):
         yield ["gen", "gc", "--input", g, "--out", out + ".gen"]
         for checker in ("peo", "dpeo"):
             yield ["check", checker, "--input", g, "--order", every]
-        yield ["check", "tree-convex", "--input", g, "--tree", g]
+        for tree in graphs.values():
+            for side in ("left", "right"):
+                yield ["check", "tree-convex", "--input", g, "--tree", str(tree), "--side", side]
         yield ["check", "chordal-bipartite", "--input", g]
         yield ["check", "chain", "--input", g]
     for header, text in DEGENERATE_COVERS.items():

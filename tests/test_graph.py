@@ -156,12 +156,22 @@ def test_bipartition():
 def test_bipartition_certifies_by_edge_scan():
     for g in all_graphs(5):
         parts = bipartition(g)
+        two_colorable = any(
+            all((c >> u & 1) != (c >> v & 1) for u, v in g.edges()) for c in range(1 << g.n)
+        )
+        assert (parts is None) != two_colorable
         if parts is None:
             continue
         assert 0 in parts.left or g.n == 0
         for u, v in g.edges():
             assert (u in parts.left) != (v in parts.left)
         check_bipartition(g, parts)  # must not raise
+
+
+def test_bipartition_builds_no_masks():
+    for g in (cycle(6), complete(3), Graph(3, [])):
+        bipartition(g)
+        assert not hasattr(g, "_nmask")
 
 
 def test_check_bipartition_rejects_bad_parts():
