@@ -4,9 +4,11 @@ approximation pipelines built from them.
 ``approx_scds`` first grows a connected dominating set, then dominates
 whatever is left of the graph after removing it, and returns the union,
 which is always a certified secure connected dominating set of size at
-most (max degree + 1) times the optimum.  ``dom_set_approx`` answers the
-bounded domination question exactly when possible and otherwise routes
-through the universal-vertex gadget and a caller-supplied SCDS solver.
+most (max degree + 1) times the optimum.  ``greedy_ds``, ``greedy_cds``
+and stage two run one lazy-heap greedy, ``_greedy``; they differ only in
+the vertices it may pick.  ``dom_set_approx`` answers the bounded
+domination question exactly when possible and otherwise routes through
+the universal-vertex gadget and a caller-supplied SCDS solver.
 
 Tie-breaking everywhere is by smallest vertex index; the greedy seed is
 the smallest maximum-degree vertex.  These are repo conventions, chosen
@@ -48,32 +50,7 @@ class ApproxOutcome:
 def greedy_ds(g: Graph) -> frozenset[int]:
     """Greedy dominating set: repeatedly take the vertex covering the most
     still-uncovered closed-neighborhood vertices (smallest index on ties)."""
-    return _greedy_dominate(g, g.full_mask)
-
-
-def _greedy_dominate(g: Graph, undominated: int) -> frozenset[int]:
-    """Greedy domination of the vertices in ``undominated``, choosing only
-    among them, as :func:`greedy_ds` does on the subgraph they induce.
-
-    A chosen vertex's gain counts only still-undominated vertices, which all
-    lie inside the set, so gains equal those in the induced subgraph.  The
-    heap is seeded with upper bounds (degree in ``g`` plus one) and gains
-    only fall; a popped entry whose stored gain is current is therefore the
-    largest gain with the smallest index, whatever the seeding.
-    """
-    heap = [(-g.degree(v) - 1, v) for v in iter_bits(undominated)]
-    heapq.heapify(heap)
-    chosen = []
-    while undominated:
-        stored, v = heapq.heappop(heap)
-        gain = (g.closed_mask(v) & undominated).bit_count()
-        if gain != -stored:
-            if gain:
-                heapq.heappush(heap, (-gain, v))
-            continue
-        chosen.append(v)
-        undominated &= ~g.closed_mask(v)
-    return frozenset(chosen)
+    return _greedy(g, g.full_mask)
 
 
 def greedy_cds(g: Graph) -> frozenset[int]:
@@ -87,34 +64,39 @@ def greedy_cds(g: Graph) -> frozenset[int]:
         raise ValueError("the empty graph has no connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("greedy CDS requires a connected graph")
-    seed = min(v for v in range(g.n) if g.degree(v) == g.max_degree)
-    chosen = [seed]
-    members = 1 << seed
-    dominated = g.closed_mask(seed)
-    in_frontier = 0
-    heap: list[tuple[int, int]] = []
-    full = g.full_mask
+    root = min(v for v in range(g.n) if g.degree(v) == g.max_degree)
+    return _greedy(g, g.full_mask, root)
 
-    def open_frontier(v: int) -> None:
-        nonlocal in_frontier
-        for w in iter_bits(g.neighbor_mask(v) & ~members & ~in_frontier):
-            gain = (g.closed_mask(w) & ~dominated).bit_count()
-            if gain:
-                heapq.heappush(heap, (-gain, w))
-            in_frontier |= 1 << w
 
-    open_frontier(seed)
-    while dominated != full:
+def _greedy(g: Graph, undominated: int, root: int | None = None) -> frozenset[int]:
+    """Greedy domination of ``undominated``: pick the candidate newly
+    dominating the most of it, smallest index on ties, until none is left.
+
+    Without ``root`` the candidates are the vertices of ``undominated``, so
+    this is greedy domination of the subgraph they induce.  With ``root``
+    only the root is a candidate at first and each pick admits its
+    neighbours, so the picks stay connected (frontier growth).  Candidates
+    enter with the upper bound degree + 1 and gains only fall, so a popped
+    entry whose stored gain is current has the largest gain and the smallest
+    index; a stale one is re-pushed at its current gain, or dropped at 0.
+    """
+    seeds = undominated if root is None else 1 << root
+    entered = g.full_mask if root is None else seeds  # no root: nothing more enters
+    heap = [(-g.degree(v) - 1, v) for v in iter_bits(seeds)]
+    heapq.heapify(heap)
+    chosen = []
+    while undominated:
         stored, v = heapq.heappop(heap)
-        gain = (g.closed_mask(v) & ~dominated).bit_count()
+        gain = (g.closed_mask(v) & undominated).bit_count()
         if gain != -stored:
             if gain:
                 heapq.heappush(heap, (-gain, v))
             continue
         chosen.append(v)
-        members |= 1 << v
-        dominated |= g.closed_mask(v)
-        open_frontier(v)
+        undominated &= ~g.closed_mask(v)
+        for w in iter_bits(g.neighbor_mask(v) & ~entered):
+            heapq.heappush(heap, (-g.degree(w) - 1, w))
+        entered |= g.neighbor_mask(v)
     return frozenset(chosen)
 
 
@@ -122,18 +104,17 @@ def approx_scds(g: Graph) -> ApproxOutcome:
     """Two-stage secure connected domination within a factor of max degree + 1.
 
     Stage one grows a connected dominating set d_c; stage two greedily
-    dominates the remaining vertices V - d_c, choosing only among them, which
-    is greedy domination of the subgraph they induce (per component, which
-    the greedy handles natively) done in place in ``g``.  Every vertex
-    outside the union has all of its residual dominators available as
-    defenders, so the union certifies.
+    dominates V - d_c, choosing only among those vertices, in place in ``g``
+    (per component of the residual, which the greedy handles natively).
+    Every vertex outside the union has all of its residual dominators
+    available as defenders, so the union certifies.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no secure connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("secure connected domination requires a connected graph")
     d_c = greedy_cds(g)
-    d = _greedy_dominate(g, g.full_mask & ~mask_from(d_c))
+    d = _greedy(g, g.full_mask & ~mask_from(d_c))
     d_sc = d_c | d
     if is_scds(g, d_sc) is None:
         raise RuntimeError("stage union failed the security certification")

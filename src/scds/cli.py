@@ -43,6 +43,7 @@ from .graph import (
 )
 from .graphclasses import TreeWitness, check_dpeo, check_peo, chordal_bipartite_check_bounded, validate_tree_convex
 from .reductions import (
+    _CB_SIZE,
     dom3_to_mscds_apx,
     dom_to_comb_convex,
     dom_to_mscds_bipartite,
@@ -142,26 +143,23 @@ def cmd_approx(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# reduce's graph gadgets in help order, after setcover-dc, which reads a set-cover file
+_GRAPH_REDUCTIONS = {
+    "star-convex": lambda g: dom_to_star_convex(g, _require_bipartite(g)),
+    "comb-convex": lambda g: dom_to_comb_convex(g, _require_bipartite(g)),
+    "chordal-bipartite": vc_to_chordal_bipartite,
+    "inapprox-general": dom_to_mscds_general,
+    "inapprox-bipartite": lambda g: dom_to_mscds_bipartite(g, _require_bipartite(g)),
+    "apx-deg4": dom3_to_mscds_apx,
+    "gc": gc_graph,
+}
+
+
 def _build_artifact(kind: str, args):
     if kind == "setcover-dc":
         inst, _k = load_set_cover(args.input)
         return setcover_to_doubly_chordal(inst)
-    g = load_graph(args.input)
-    if kind == "star-convex":
-        return dom_to_star_convex(g, _require_bipartite(g))
-    if kind == "comb-convex":
-        return dom_to_comb_convex(g, _require_bipartite(g))
-    if kind == "chordal-bipartite":
-        return vc_to_chordal_bipartite(g)
-    if kind == "inapprox-general":
-        return dom_to_mscds_general(g)
-    if kind == "inapprox-bipartite":
-        return dom_to_mscds_bipartite(g, _require_bipartite(g))
-    if kind == "apx-deg4":
-        return dom3_to_mscds_apx(g)
-    if kind == "gc":
-        return gc_graph(g)
-    raise CliInputError(f"unknown reduction kind {kind!r}")
+    return _GRAPH_REDUCTIONS[kind](load_graph(args.input))
 
 
 def _witness_payload(witness):
@@ -176,10 +174,7 @@ def _sidecar_payload(art) -> dict:
     param = {"offset": art.param_offset}
     if art.kind == "chordal-bipartite":
         param["affine"] = {
-            "constant": 2,
-            "k_coefficient": 1,
-            "m_coefficient": 8,
-            "n_coefficient": 7,
+            **_CB_SIZE,
             "source_m": art.source.m,
             "source_n": art.source.n,
         }
@@ -329,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("reduce", help="build a hardness gadget")
-    p.add_argument("kind", choices=[
-        "setcover-dc", "star-convex", "comb-convex", "chordal-bipartite",
-        "inapprox-general", "inapprox-bipartite", "apx-deg4", "gc",
-    ])
+    p.add_argument("kind", choices=["setcover-dc", *_GRAPH_REDUCTIONS])
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output prefix (.graph and .json)")
     p.set_defaults(func=cmd_reduce)

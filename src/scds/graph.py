@@ -65,7 +65,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        # a set is made on a vertex's first edge: an isolated vertex costs one pointer
+        nbrs: list[set[int] | None] = [None] * n
         for u, v in edges:
             if u > v:
                 u, v = v, u
@@ -73,9 +74,17 @@ class Graph:
                 raise ValueError(f"edge endpoint out of range: ({u},{v}) with n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        adj = tuple(tuple(sorted(s)) for s in nbrs)
+            s = nbrs[u]
+            if s is None:
+                nbrs[u] = {v}
+            else:
+                s.add(v)
+            s = nbrs[v]
+            if s is None:
+                nbrs[v] = {u}
+            else:
+                s.add(u)
+        adj = tuple(tuple(sorted(s)) if s else () for s in nbrs)
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self._adj = adj

@@ -235,6 +235,8 @@ def dom_to_comb_convex(g: Graph, parts: Bipartition) -> ReductionArtifact:
 # forced part is everything but x_i, y_i and z_i.
 _BLOCK = ("a", "b", "z", "d", "f", "x", "y", "c", "e")
 _X, _Y, _Z = _BLOCK.index("x"), _BLOCK.index("y"), _BLOCK.index("z")
+# The size identity 7n + 8m + k + 2 below, read by param_offset and the CLI sidecar.
+_CB_SIZE = {"constant": 2, "k_coefficient": 1, "m_coefficient": 8, "n_coefficient": 7}
 
 
 def _vb(i: int, off: int) -> int:
@@ -263,7 +265,7 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
     _require_connected(g, "chordal-bipartite reduction")
     if g.m == 0:
         raise ValueError("chordal-bipartite reduction requires a source with an edge")
-    n, m = g.n, g.m
+    n, m, size = g.n, g.m, _CB_SIZE
     t = 9 * n + 8 * m
     u = t + 1
     ys = [_vb(j, _Y) for j in range(n)]
@@ -289,7 +291,7 @@ def vc_to_chordal_bipartite(g: Graph) -> ReductionArtifact:
         kind="chordal-bipartite",
         graph=Graph(u + 1, edges),
         labels=labels,
-        param_offset=7 * n + 8 * m + 2,
+        param_offset=size["n_coefficient"] * n + size["m_coefficient"] * m + size["constant"],
         forced=forced | frozenset(range(9 * n, u + 1)),
         witness=None,
         source=g,

@@ -80,6 +80,28 @@ def induced_subgraph(g, vertices):
     return Graph(len(keep), edges), tuple(keep)
 
 
+def greedy_naive(g, undominated, root=None):
+    """Greedy domination of the set ``undominated``, gains recomputed each step.
+
+    Every step scores each unpicked candidate v by |N[v] & undominated| and
+    picks the highest score, smallest index on ties, until nothing is left
+    undominated.  Without ``root`` the candidates are the vertices of
+    ``undominated``; with it, the root and then every neighbour of a
+    picked vertex.
+    """
+    undominated = set(undominated)
+    candidates = set(undominated) if root is None else {root}
+    closed_nbhd = [closed(g, v) for v in range(g.n)]
+    picked = set()
+    while undominated:
+        v = max(candidates - picked, key=lambda w: (len(closed_nbhd[w] & undominated), -w))
+        picked.add(v)
+        undominated -= closed_nbhd[v]
+        if root is not None:
+            candidates |= closed_nbhd[v]
+    return frozenset(picked)
+
+
 def first_failure_naive(g, s, problem):
     """(vertex, reason) explaining why s fails problem, or None if it passes.
 

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from bruteforce import induced_subgraph, min_ds_naive
-from helpers import complete, connected_graphs, cycle, path, random_connected, sparse_connected, star
+from bruteforce import greedy_naive, induced_subgraph, min_ds_naive
+from helpers import (
+    all_graphs,
+    complete,
+    connected_graphs,
+    cycle,
+    path,
+    random_connected,
+    sparse_connected,
+    star,
+)
 from scds import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -62,6 +71,29 @@ def test_greedy_cds_output_is_cds():
         out = greedy_cds(g)
         assert is_cds(g, out)
         assert out == greedy_cds(g)  # deterministic
+
+
+def _assert_greedy_matches_reference(g):
+    everything = set(range(g.n))
+    assert greedy_ds(g) == greedy_naive(g, everything)
+    if g.n == 0 or not is_connected(g):
+        return
+    root = min(v for v in range(g.n) if g.degree(v) == g.max_degree)
+    assert greedy_cds(g) == greedy_naive(g, everything, root)
+    out = approx_scds(g)
+    assert out.d == greedy_naive(g, everything - out.d_c)
+
+
+def test_greedy_matches_definition_exhaustively():
+    for n in range(6):
+        for g in all_graphs(n):
+            _assert_greedy_matches_reference(g)
+
+
+def test_greedy_matches_definition_on_sparse_graphs():
+    rng = random.Random(31)
+    for seed in range(200):
+        _assert_greedy_matches_reference(sparse_connected(rng.randint(2, 300), seed))
 
 
 def test_approx_scds_examples():

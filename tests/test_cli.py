@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import complete_bipartite, cycle, path
+from helpers import complete_bipartite, connected_graphs, cycle, path
 from scds import (
     Graph,
     GraphFormatError,
@@ -214,6 +214,25 @@ def test_reduce_setcover_and_witness_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "cb.json").read_text())
     assert sidecar["param"]["affine"]["n_coefficient"] == 7
     assert sidecar["param"]["offset"] == 24
+
+
+def test_chordal_bipartite_sidecar_affine_matches_offset(tmp_path, capsys):
+    # the affine block at k = 0 is the size offset, on every connected source
+    # with an edge and n <= 4
+    checked = 0
+    for n in range(2, 5):
+        for g in connected_graphs(n):
+            save_graph(g, tmp_path / "src.graph")
+            code, _ = run(capsys, "reduce", "chordal-bipartite", "--input",
+                          str(tmp_path / "src.graph"), "--out", str(tmp_path / "cb"))
+            assert code == 0
+            param = json.loads((tmp_path / "cb.json").read_text())["param"]
+            affine = param["affine"]
+            assert (affine["source_n"], affine["source_m"]) == (g.n, g.m)
+            at_zero = affine["constant"] + affine["n_coefficient"] * g.n + affine["m_coefficient"] * g.m
+            assert at_zero == param["offset"]
+            checked += 1
+    assert checked == 1 + 4 + 38
 
 
 def test_reduce_precondition_exit(tmp_path, capsys):

@@ -97,16 +97,19 @@ def test_masks_match_adjacency():
 
 
 def test_edgeless_header_parses_and_rejects_in_linear_memory():
-    # 20000 isolated vertices: one n-bit row or mask per vertex would take 50 MB
-    tracemalloc.start()
-    try:
-        g = parse_graph("20000 0\n")
-        assert (g.n, g.m, g.max_degree) == (20000, 0, 0)
-        assert not is_connected(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # 20000 isolated vertices: one n-bit row or mask per vertex would take 50 MB.
+    # 10**6 isolated vertices: a few pointers each fit in 48 MiB; an empty
+    # set() per vertex (about 200 B) would not.
+    for n, bound_mib in ((20000, 16), (10**6, 48)):
+        tracemalloc.start()
+        try:
+            g = parse_graph(f"{n} 0\n")
+            assert (g.n, g.m, g.max_degree) == (n, 0, 0)
+            assert not is_connected(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (n, peak)
 
 
 def test_pendant_and_support():
