@@ -82,21 +82,23 @@ def _greedy(g: Graph, undominated: int, root: int | None = None) -> frozenset[in
     """
     seeds = undominated if root is None else 1 << root
     entered = g.full_mask if root is None else seeds  # no root: nothing more enters
+    nm = g.neighbor_masks()
     heap = [(-g.degree(v) - 1, v) for v in iter_bits(seeds)]
     heapq.heapify(heap)
     chosen = []
     while undominated:
         stored, v = heapq.heappop(heap)
-        gain = (g.closed_mask(v) & undominated).bit_count()
+        closed = nm[v] | 1 << v
+        gain = (closed & undominated).bit_count()
         if gain != -stored:
             if gain:
                 heapq.heappush(heap, (-gain, v))
             continue
         chosen.append(v)
-        undominated &= ~g.closed_mask(v)
-        for w in iter_bits(g.neighbor_mask(v) & ~entered):
+        undominated &= ~closed
+        for w in iter_bits(nm[v] & ~entered):
             heapq.heappush(heap, (-g.degree(w) - 1, w))
-        entered |= g.neighbor_mask(v)
+        entered |= nm[v]
     return frozenset(chosen)
 
 

@@ -66,11 +66,17 @@ def _validated_mask(g: Graph, s: Iterable[int]) -> int:
     return mask
 
 
-def is_dominating_mask(g: Graph, smask: int) -> bool:
-    covered = 0
+def _dominated(g: Graph, smask: int) -> int:
+    """N[S] = S | N(S) as a mask."""
+    nm = g.neighbor_masks()
+    covered = smask
     for v in iter_bits(smask):
-        covered |= g.closed_mask(v)
-    return covered == g.full_mask
+        covered |= nm[v]
+    return covered
+
+
+def is_dominating_mask(g: Graph, smask: int) -> bool:
+    return _dominated(g, smask) == g.full_mask
 
 
 def is_cds_mask(g: Graph, smask: int) -> bool:
@@ -96,9 +102,10 @@ def _swap_structure(g: Graph, smask: int):
     dominator in S is v, and sep[v] lists the [tin, tout) intervals of the
     DFS subtrees that removing v separates from the rest of G[S].
     """
+    nm = g.neighbor_masks()
     crit: dict[int, int] = {}
     for w in range(g.n):
-        dom = g.closed_mask(w) & smask
+        dom = (nm[w] | 1 << w) & smask
         if dom and not dom & (dom - 1):
             v = dom.bit_length() - 1
             crit[v] = crit.get(v, 0) | (1 << w)
@@ -115,7 +122,7 @@ def _swap_structure(g: Graph, smask: int):
         if v not in tin:
             tin[v] = low[v] = timer
             timer += 1
-            nbr_iter[v] = iter_bits(g.neighbor_mask(v) & smask)
+            nbr_iter[v] = iter_bits(nm[v] & smask)
         pushed = False
         for w in nbr_iter[v]:
             if w == parent:
@@ -137,9 +144,9 @@ def _swap_structure(g: Graph, smask: int):
     return crit, tin, sep, root
 
 
-def _defender_ok(g, smask, crit, tin, sep, root, u, v, u_nbr_tins) -> bool:
-    # Domination: every vertex privately dominated by v must be adjacent to u.
-    if crit.get(v, 0) & ~g.closed_mask(u):
+def _defender_ok(smask, crit, sep, root, u_closed, v, u_nbr_tins) -> bool:
+    # Domination: every vertex privately dominated by v must lie in N[u].
+    if crit.get(v, 0) & ~u_closed:
         return False
     if not smask & (smask - 1):  # |S| == 1: the swap leaves the singleton {u}
         return True
@@ -170,12 +177,14 @@ def _defend(g: Graph, smask: int) -> tuple[dict[int, int], int]:
     """Smallest-index defenders of the outside vertices of the CDS ``smask``
     in increasing order, and the first of them with none (-1 if none lacks one)."""
     crit, tin, sep, root = _swap_structure(g, smask)
+    nm = g.neighbor_masks()
     defended: dict[int, int] = {}
     for u in iter_bits(g.full_mask & ~smask):
-        candidates = g.neighbor_mask(u) & smask
+        candidates = nm[u] & smask
+        u_closed = nm[u] | 1 << u
         u_nbr_tins = [(tin[w], w) for w in iter_bits(candidates)]
         for v in iter_bits(candidates):  # ascending, so the defender is smallest-index
-            if _defender_ok(g, smask, crit, tin, sep, root, u, v, u_nbr_tins):
+            if _defender_ok(smask, crit, sep, root, u_closed, v, u_nbr_tins):
                 defended[u] = v
                 break
         else:
@@ -207,10 +216,7 @@ def verdict(g: Graph, s: Iterable[int], problem: str) -> SecurityCertificate | F
     if problem not in ("ds", "cds", "scds"):
         raise ValueError(f"unknown problem {problem!r}")
     smask = _validated_mask(g, s)
-    covered = 0
-    for v in iter_bits(smask):
-        covered |= g.closed_mask(v)
-    undominated = g.full_mask & ~covered
+    undominated = g.full_mask & ~_dominated(g, smask)
     if undominated:
         return Failure((undominated & -undominated).bit_length() - 1, "undominated")
     if problem == "ds":

@@ -36,11 +36,12 @@ class ChainOrdering:
 
 def _containment_ok(g: Graph, order: ChainOrdering) -> bool:
     xs, ys = order.x_order, order.y_order
+    nm = g.neighbor_masks()
     for a, b in zip(xs, xs[1:]):
-        if g.neighbor_mask(a) & ~g.neighbor_mask(b):
+        if nm[a] & ~nm[b]:
             return False
     for a, b in zip(ys, ys[1:]):
-        if g.neighbor_mask(b) & ~g.neighbor_mask(a):
+        if nm[b] & ~nm[a]:
             return False
     return True
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .approx import approx_scds
 from .certify import Failure, verdict
@@ -300,6 +300,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process: in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scds",

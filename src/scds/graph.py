@@ -7,11 +7,11 @@ bitmasks where bit ``v`` stands for vertex ``v``.  The text file format is
 documented on :func:`parse_graph`.
 
 A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
-memory, so parsing, :func:`is_connected`, :func:`bipartition` and
-:func:`pendant_and_support` stay linear.  The Θ(n²)-bit neighbourhood
-masks are built on the first mask call; the certifiers, the exact oracles,
-the greedy stages of the approximation and the graph-class validators pay
-for them.
+memory, so parsing, :func:`is_connected`, :func:`bipartition`,
+:func:`check_bipartition` and :func:`pendant_and_support` stay linear.  Its
+one Θ(n²)-bit table, of the open neighbourhoods N(v), is built on the first
+:meth:`Graph.neighbor_masks` call; closed ones are formed where they are used:
+``nm[v] | 1 << v``, or S | N(S) for a set S.
 """
 
 from __future__ import annotations
@@ -49,18 +49,12 @@ class Graph:
 
     ``n`` is the vertex count, ``m`` the edge count.  Adjacency lists are
     strictly increasing tuples and symmetric; no self-loops or duplicate
-    edges survive construction.  Construction builds only the adjacency
-    lists, in O(n + m) time and memory.  The per-vertex bitmasks behind
-    :meth:`neighbor_mask` and :meth:`closed_mask` take Θ(n²/8) bytes; they
-    are built on the first call to either, so only the callers that work on
-    masks pay for them: the certifiers, the exact oracles, the greedy stages
-    of the approximation and the graph-class validators.  Instances are safe
-    to share across threads: the masks are published only once both tuples
-    are complete, so two threads racing on the first call at worst build the
-    same tuples twice.
+    edges survive construction.  Instances are safe to share across threads:
+    one assignment publishes the mask table, so two threads racing on its
+    first build at worst build it twice.
     """
 
-    __slots__ = ("n", "m", "_adj", "_nmask", "_cmask", "_maxdeg")
+    __slots__ = ("n", "m", "_adj", "_nmask", "_maxdeg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -90,15 +84,6 @@ class Graph:
         self._adj = adj
         self._maxdeg = max(map(len, adj), default=0)
 
-    # The mask slots stay unset until the first mask call, whose
-    # AttributeError builds them; a try costs nothing on the hot path.
-    def _build_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        nmask = tuple(map(mask_from, self._adj))
-        cmask = tuple(nm | 1 << v for v, nm in enumerate(nmask))
-        self._nmask = nmask
-        self._cmask = cmask
-        return nmask, cmask
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -113,17 +98,13 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def neighbor_mask(self, v: int) -> int:
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """The open-neighbourhood bitmasks N(v) by v; fetch once, then index."""
         try:
-            return self._nmask[v]
-        except AttributeError:
-            return self._build_masks()[0][v]
-
-    def closed_mask(self, v: int) -> int:
-        try:
-            return self._cmask[v]
-        except AttributeError:
-            return self._build_masks()[1][v]
+            return self._nmask
+        except AttributeError:  # the slot stays unset until the first call
+            self._nmask = tuple(map(mask_from, self._adj))
+            return self._nmask
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -153,10 +134,7 @@ class Bipartition:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (true for n <= 1).
-
-    One traversal of the adjacency lists; the graph's bitmasks are not built.
-    """
+    """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
     if g.n <= 1:
         return True
     seen = [False] * g.n
@@ -175,11 +153,12 @@ def is_connected(g: Graph) -> bool:
 def reach_within(g: Graph, mask: int) -> int:
     """The vertices of ``mask`` reachable from its smallest one inside the
     subgraph it induces; G[mask] is connected iff that is all of ``mask``."""
+    nm = g.neighbor_masks()
     seen = frontier = mask & -mask
     while frontier:
         grown = 0
         for v in iter_bits(frontier):
-            grown |= g.neighbor_mask(v)
+            grown |= nm[v]
         frontier = grown & mask & ~seen
         seen |= frontier
     return seen
@@ -207,7 +186,6 @@ def bipartition(g: Graph) -> Bipartition | None:
     Vertex 0 (and the smallest vertex of every further component) goes left.
     One BFS over the adjacency lists decides: every edge is scanned from
     both ends, so a coloring found without a same-colored edge is valid.
-    The graph's bitmasks are not built.
     """
     color = [-1] * g.n
     for root in range(g.n):
@@ -228,17 +206,20 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 
 def check_bipartition(g: Graph, parts: Bipartition) -> None:
-    """Raise ValueError unless ``parts`` is a valid bipartition of ``g``."""
-    left_mask = mask_from(parts.left)
-    right_mask = mask_from(parts.right)
-    if left_mask & right_mask or left_mask | right_mask != g.full_mask:
+    """Raise ValueError unless ``parts`` is a valid bipartition of ``g``; a
+    fault of the sides comes before an edge inside the left, then the right."""
+    placed = [False] * g.n
+    for v in (*parts.left, *parts.right):
+        if 0 <= v < g.n:
+            placed[v] = True
+    # n vertices placed by n entries in all: none repeats or is out of range
+    if not all(placed) or len(parts.left) + len(parts.right) != g.n:
         raise ValueError("bipartition sides must partition the vertex set")
-    for v in iter_bits(left_mask):
-        if g.neighbor_mask(v) & left_mask:
-            raise ValueError("an edge lies inside the left side of the bipartition")
-    for v in iter_bits(right_mask):
-        if g.neighbor_mask(v) & right_mask:
-            raise ValueError("an edge lies inside the right side of the bipartition")
+    if any(not parts.left.isdisjoint(g.neighbors(v)) for v in parts.left):
+        raise ValueError("an edge lies inside the left side of the bipartition")
+    # with no edge inside the left side, its degrees count the edges between the sides
+    if sum(map(g.degree, parts.left)) != g.m:
+        raise ValueError("an edge lies inside the right side of the bipartition")
 
 
 _COUNT_WORDS = {2: "two", 3: "three"}
@@ -279,15 +260,20 @@ def read_header(
     return counts, data[1:]
 
 
+MAX_VERTICES = 10**7  # so a short header cannot cost gigabytes; Graph() itself has no cap
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the canonical text format.
 
     Lines beginning ``#`` are comments.  The first data line is ``n m``;
     exactly ``m`` data lines ``u v`` follow.  Readers accept edges in any
-    order and orientation; duplicates, self-loops and out-of-range
-    endpoints are errors.
+    order and orientation; duplicates, self-loops, out-of-range endpoints
+    and n above :data:`MAX_VERTICES` are errors.
     """
     (n, m), lines = read_header(text, "n m", "edge", GraphFormatError)
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     edges = []
     for lineno, line in lines:
         fields = line.split()

@@ -17,14 +17,15 @@ def _eliminates(g: Graph, order: Sequence[int], doubly: bool) -> bool:
     """The elimination loop behind :func:`check_peo` and :func:`check_dpeo`."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
+    nm = g.neighbor_masks()
     remaining = g.full_mask
     for v in order:
-        later_nbrs = g.neighbor_mask(v) & remaining
+        later_nbrs = nm[v] & remaining
         for w in iter_bits(later_nbrs):
-            if (later_nbrs & ~(1 << w)) & ~g.neighbor_mask(w):
+            if (later_nbrs & ~(1 << w)) & ~nm[w]:
                 return False
         if doubly:  # some u in N[v] whose residual N[u] holds every residual N[w], w in N[v]
-            closed = [g.closed_mask(w) & remaining for w in iter_bits(later_nbrs | 1 << v)]
+            closed = [(nm[w] | 1 << w) & remaining for w in iter_bits(later_nbrs | 1 << v)]
             if not any(all(not cw & ~cu for cw in closed) for cu in closed):
                 return False
         remaining &= ~(1 << v)
@@ -159,6 +160,7 @@ def _find_chordless_cycle(g: Graph, max_len: int) -> tuple[int, ...] | None:
     # consecutive vertices adjacent and non-consecutive ones not; vertices
     # beyond v1 must avoid s except for the closing edge.  Depth-first with
     # neighbors taken in ascending order, so the first hit is canonical.
+    nm = g.neighbor_masks()
     for s in range(g.n):
         smask = 1 << s
         for v1 in g.neighbors(s):
@@ -175,7 +177,7 @@ def _find_chordless_cycle(g: Graph, max_len: int) -> tuple[int, ...] | None:
                 for w in g.neighbors(last):
                     if w <= s or on_path >> w & 1:
                         continue
-                    wmask = g.neighbor_mask(w)
+                    wmask = nm[w]
                     if wmask & blocked & ~smask:
                         continue
                     if wmask & smask:

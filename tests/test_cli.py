@@ -1,12 +1,15 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import scds
 from helpers import complete_bipartite, connected_graphs, cycle, path
 from scds import (
     Graph,
@@ -159,7 +162,14 @@ PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("parser, text, message", PARSE_ERRORS)
+# Kept out of PARSE_ERRORS, whose outputs the golden digest pins.
+VERTEX_CAP_ERRORS = [
+    (parse_graph, "10000001 0\n", "vertex count 10000001 exceeds the limit 10000000"),
+    (parse_graph, "999999999 0\n", "vertex count 999999999 exceeds the limit 10000000"),
+]
+
+
+@pytest.mark.parametrize("parser, text, message", PARSE_ERRORS + VERTEX_CAP_ERRORS)
 def test_parse_error_messages(tmp_path, capsys, parser, text, message):
     error = GraphFormatError if parser is parse_graph else SetCoverFormatError
     with pytest.raises(error) as info:
@@ -170,6 +180,50 @@ def test_parse_error_messages(tmp_path, capsys, parser, text, message):
     assert main(command + ["--input", str(tmp_path / "bad.txt")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _child_run(argv):
+    """Run ``python -m scds.cli argv`` in a child process whose address space
+    is capped at 512 MB, so a runaway allocation fails there, not on the
+    machine; the child finds the package where this process did, installed or not."""
+    src = str(Path(scds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 512 * 2**20
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "scds.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_small_files_declaring_many_vertices_stay_small(tmp_path):
+    # files of at most 17 bytes over n = 2 * 10**5 vertices: a Θ(n²)-bit table
+    # would need gigabytes, so each command must answer within 512 MB and 2 s
+    files = {"edgeless": "200000 0\n", "path": "200000 2\n0 1\n1 2\n", "host": "3 2\n0 2\n1 2\n",
+             "tree": "200000 1\n0 1\n", "huge": "999999999 0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    edgeless, path_file, host, tree, huge = (str(tmp_path / name) for name in files)
+    cases = [
+        (["verify", "--input", edgeless, "--set", "0"], 1,
+         '{"failing_vertex": 1, "problem": "scds", "reason": "undominated"}\n', ""),
+        (["verify", "--problem", "ds", "--input", edgeless, "--set", "0"], 1,
+         '{"failing_vertex": 1, "problem": "ds", "reason": "undominated"}\n', ""),
+        (["check", "chain", "--input", edgeless], 4,
+         "", "error: chain ordering requires a connected graph\n"),
+        (["check", "chordal-bipartite", "--input", path_file], 0,
+         '{"bound": 8, "check": "chordal-bipartite", "ok": true}\n', ""),
+        (["check", "tree-convex", "--input", host, "--tree", tree], 0,
+         '{"check": "tree-convex", "ok": true}\n', ""),
+        (["approx", "--input", huge], 2,
+         "", "error: vertex count 999999999 exceeds the limit 10000000\n"),
+    ]
+    for argv, code, out, err in cases:
+        proc, seconds = _child_run(argv)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        assert seconds <= 2, (argv, seconds)
 
 
 def test_approx_json_shape(tmp_path, capsys):
@@ -396,18 +450,9 @@ def test_bench_blank_gamma_when_budget_exceeded(capsys):
 
 
 def test_module_entrypoint_subprocess(tmp_path):
-    import scds
-
-    # The child finds the package where this process did, installed or not.
-    src = str(Path(scds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     save_graph(path(3), tmp_path / "p3.graph")
-    proc = subprocess.run(
-        [sys.executable, "-m", "scds.cli", "solve", "--input", str(tmp_path / "p3.graph")],
-        capture_output=True, text=True, env=env,
-    )
+    proc, _seconds = _child_run(["solve", "--input", str(tmp_path / "p3.graph")])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 3
-    proc = subprocess.run([sys.executable, "-m", "scds.cli", "nonsense"],
-                          capture_output=True, text=True, env=env)
+    proc, _seconds = _child_run(["nonsense"])
     assert proc.returncode == 2

@@ -7,6 +7,7 @@ from bruteforce import induced_subgraph, reach_naive
 from helpers import all_graphs, complete, cycle, path, star
 from scds import Graph, GraphFormatError, bipartition, is_connected, pendant_and_support
 from scds.graph import (
+    Bipartition,
     check_bipartition,
     format_graph,
     mask_from,
@@ -89,11 +90,10 @@ def test_masks_match_adjacency():
         n = rng.randint(1, 12)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, [p for p in pairs if rng.random() < 0.4])
-        for v in range(n):
-            assert g.neighbor_mask(v) == mask_from(g.neighbors(v))
-            assert g.closed_mask(v) == g.neighbor_mask(v) | 1 << v
-    # the first mask call may be either accessor
-    assert path(3).closed_mask(0) == 0b011
+        nm = g.neighbor_masks()
+        assert nm == tuple(mask_from(g.neighbors(v)) for v in range(n))
+        assert g.neighbor_masks() is nm  # built on the first call, then kept
+    assert path(3).neighbor_masks() == (0b010, 0b101, 0b010)
 
 
 def test_edgeless_header_parses_and_rejects_in_linear_memory():
@@ -171,20 +171,45 @@ def test_bipartition_certifies_by_edge_scan():
         check_bipartition(g, parts)  # must not raise
 
 
+NOT_A_PARTITION = "bipartition sides must partition the vertex set"
+LEFT_EDGE = "an edge lies inside the left side of the bipartition"
+RIGHT_EDGE = "an edge lies inside the right side of the bipartition"
+BAD_PARTS = [  # (left, right, message) on the path 0 - 1 - 2 - 3
+    ({0, 2}, {1, 2, 3}, NOT_A_PARTITION),  # overlap
+    ({0, 2}, {1}, NOT_A_PARTITION),  # 3 missing
+    ({0, 2}, {1, 3, 4}, NOT_A_PARTITION),  # out of range
+    ({0, 2, -1}, {1, 3}, NOT_A_PARTITION),  # negative
+    ({0, 1}, {2, 3, 5}, NOT_A_PARTITION),  # a side fault before an edge fault
+    ({0, 1, 3}, {2}, LEFT_EDGE),
+    ({0, 3}, {1, 2}, RIGHT_EDGE),
+    ({2, 3}, {0, 1}, LEFT_EDGE),  # left before right, though the right edge has smaller ends
+]
+
+
 def test_bipartition_builds_no_masks():
-    for g in (cycle(6), complete(3), Graph(3, [])):
-        bipartition(g)
+    # parsing, connectivity, pendants, both bipartition functions (valid parts
+    # and every fault) leave the mask table unbuilt
+    for text in ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "3 3\n0 1\n1 2\n0 2\n", "3 0\n",
+                 "4 3\n0 1\n1 2\n2 3\n"):
+        g = parse_graph(text)
+        is_connected(g)
+        pendant_and_support(g)
+        scds_forced(g)
+        parts = bipartition(g)
+        if parts is not None:
+            check_bipartition(g, parts)
         assert not hasattr(g, "_nmask")
+    for left, right, _message in BAD_PARTS:  # g is the path 0 - 1 - 2 - 3
+        with pytest.raises(ValueError):
+            check_bipartition(g, Bipartition(frozenset(left), frozenset(right)))
+    assert not hasattr(g, "_nmask")
 
 
 def test_check_bipartition_rejects_bad_parts():
-    from scds.graph import Bipartition
-
-    g = path(3)
-    with pytest.raises(ValueError):
-        check_bipartition(g, Bipartition(frozenset({0, 1}), frozenset({2})))
-    with pytest.raises(ValueError):
-        check_bipartition(g, Bipartition(frozenset({0}), frozenset({2})))
+    for left, right, message in BAD_PARTS:
+        with pytest.raises(ValueError) as info:
+            check_bipartition(path(4), Bipartition(frozenset(left), frozenset(right)))
+        assert str(info.value) == message, (left, right)
 
 
 def test_induced_subgraph():
