@@ -6,9 +6,13 @@ whatever is left of the graph after removing it, and returns the union,
 which is always a certified secure connected dominating set of size at
 most (max degree + 1) times the optimum.  ``greedy_ds``, ``greedy_cds``
 and stage two run one lazy-heap greedy, ``_greedy``; they differ only in
-the vertices it may pick.  ``dom_set_approx`` answers the bounded
-domination question exactly when possible and otherwise routes through
-the universal-vertex gadget and a caller-supplied SCDS solver.
+the vertices it may pick.  It works on the adjacency lists: a vertex's
+gain is a counter of the undominated vertices in its closed
+neighbourhood, decremented along N[w] when w gets dominated, so the
+counts cost O(n + m) in all and no n-bit mask is ever formed.
+``dom_set_approx`` answers the bounded domination question exactly when
+possible and otherwise routes through the universal-vertex gadget and a
+caller-supplied SCDS solver.
 
 Tie-breaking everywhere is by smallest vertex index; the greedy seed is
 the smallest maximum-degree vertex.  These are repo conventions, chosen
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable
 
 from .certify import is_dominating_mask, is_scds
@@ -28,7 +33,6 @@ from .graph import (
     Graph,
     is_connected,
     iter_bits,
-    mask_from,
 )
 from .reductions import dom_to_mscds_general, extract_ds_from_gadget
 
@@ -50,7 +54,7 @@ class ApproxOutcome:
 def greedy_ds(g: Graph) -> frozenset[int]:
     """Greedy dominating set: repeatedly take the vertex covering the most
     still-uncovered closed-neighborhood vertices (smallest index on ties)."""
-    return _greedy(g, g.full_mask)
+    return _greedy(g, bytearray(b"\x01") * g.n)
 
 
 def greedy_cds(g: Graph) -> frozenset[int]:
@@ -65,40 +69,58 @@ def greedy_cds(g: Graph) -> frozenset[int]:
     if not is_connected(g):
         raise DisconnectedGraphError("greedy CDS requires a connected graph")
     root = min(v for v in range(g.n) if g.degree(v) == g.max_degree)
-    return _greedy(g, g.full_mask, root)
+    return _greedy(g, bytearray(b"\x01") * g.n, root)
 
 
-def _greedy(g: Graph, undominated: int, root: int | None = None) -> frozenset[int]:
-    """Greedy domination of ``undominated``: pick the candidate newly
-    dominating the most of it, smallest index on ties, until none is left.
+def _greedy(g: Graph, undominated: bytearray, root: int | None = None) -> frozenset[int]:
+    """Greedy domination of the vertices flagged in ``undominated``, which
+    it consumes: pick the candidate newly dominating the most of them,
+    smallest index on ties, until none is left.
 
-    Without ``root`` the candidates are the vertices of ``undominated``, so
-    this is greedy domination of the subgraph they induce.  With ``root``
-    only the root is a candidate at first and each pick admits its
-    neighbours, so the picks stay connected (frontier growth).  Candidates
-    enter with the upper bound degree + 1 and gains only fall, so a popped
-    entry whose stored gain is current has the largest gain and the smallest
-    index; a stale one is re-pushed at its current gain, or dropped at 0.
+    Without ``root`` the candidates are the flagged vertices, so this is
+    greedy domination of the subgraph they induce.  With ``root`` only the
+    root is a candidate at first and each pick admits its neighbours, so the
+    picks stay connected (frontier growth).  ``gain[v]`` counts the flagged
+    vertices of N[v].  Candidates enter with the upper bound degree + 1 and
+    gains only fall, so a popped entry whose stored gain is current has the
+    largest gain and the smallest index; a stale one is re-pushed at its
+    current gain, or dropped at 0.
     """
-    seeds = undominated if root is None else 1 << root
-    entered = g.full_mask if root is None else seeds  # no root: nothing more enters
-    nm = g.neighbor_masks()
-    heap = [(-g.degree(v) - 1, v) for v in iter_bits(seeds)]
+    adj = g.adjacency()
+    gain = [len(a) + 1 for a in adj]
+    for w in range(g.n):
+        if not undominated[w]:  # dominated already: it counts for no one
+            gain[w] -= 1
+            for x in adj[w]:
+                gain[x] -= 1
+    left = undominated.count(1)
+    if root is None:
+        heap = [(-len(adj[v]) - 1, v) for v in compress(range(g.n), undominated)]
+    else:
+        heap = [(-len(adj[root]) - 1, root)]
+        entered = bytearray(g.n)
+        entered[root] = 1
     heapq.heapify(heap)
     chosen = []
-    while undominated:
+    while left:
         stored, v = heapq.heappop(heap)
-        closed = nm[v] | 1 << v
-        gain = (closed & undominated).bit_count()
-        if gain != -stored:
-            if gain:
-                heapq.heappush(heap, (-gain, v))
+        if gain[v] != -stored:
+            if gain[v]:
+                heapq.heappush(heap, (-gain[v], v))
             continue
         chosen.append(v)
-        undominated &= ~closed
-        for w in iter_bits(nm[v] & ~entered):
-            heapq.heappush(heap, (-g.degree(w) - 1, w))
-        entered |= nm[v]
+        for w in (v, *adj[v]):
+            if undominated[w]:
+                undominated[w] = 0
+                left -= 1
+                gain[w] -= 1
+                for x in adj[w]:
+                    gain[x] -= 1
+        if root is not None:
+            for w in adj[v]:
+                if not entered[w]:
+                    entered[w] = 1
+                    heapq.heappush(heap, (-len(adj[w]) - 1, w))
     return frozenset(chosen)
 
 
@@ -116,7 +138,10 @@ def approx_scds(g: Graph) -> ApproxOutcome:
     if not is_connected(g):
         raise DisconnectedGraphError("secure connected domination requires a connected graph")
     d_c = greedy_cds(g)
-    d = _greedy(g, g.full_mask & ~mask_from(d_c))
+    residual = bytearray(b"\x01") * g.n
+    for v in d_c:
+        residual[v] = 0
+    d = _greedy(g, residual)
     d_sc = d_c | d
     if is_scds(g, d_sc) is None:
         raise RuntimeError("stage union failed the security certification")

@@ -8,10 +8,14 @@ documented on :func:`parse_graph`.
 
 A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
 memory, so parsing, :func:`is_connected`, :func:`bipartition`,
-:func:`check_bipartition` and :func:`pendant_and_support` stay linear.  Its
-one Θ(n²)-bit table, of the open neighbourhoods N(v), is built on the first
-:meth:`Graph.neighbor_masks` call; closed ones are formed where they are used:
-``nm[v] | 1 << v``, or S | N(S) for a set S.
+:func:`check_bipartition` and :func:`pendant_and_support` stay linear, and
+so do the approximation, the certifier and chain recognition, which read
+:meth:`Graph.adjacency`.  Its one Θ(n²)-bit table, of the open
+neighbourhoods N(v), is built on the first :meth:`Graph.neighbor_masks` call.
+Only bit-parallel code on small or structured inputs asks for it:
+:func:`reach_within` and the exact oracle's per-candidate tests, and the
+elimination-order and chordless-cycle validators.  Closed neighbourhoods are
+formed where they are used: ``nm[v] | 1 << v``, or S | N(S) for a set S.
 """
 
 from __future__ import annotations
@@ -86,6 +90,10 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted adjacency tuples by vertex; fetch once, then index."""
+        return self._adj
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

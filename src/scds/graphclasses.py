@@ -162,6 +162,8 @@ def _find_chordless_cycle(g: Graph, max_len: int) -> tuple[int, ...] | None:
     # neighbors taken in ascending order, so the first hit is canonical.
     nm = g.neighbor_masks()
     for s in range(g.n):
+        if g.degree(s) < 2:  # on no cycle, so build no mask from it
+            continue
         smask = 1 << s
         for v1 in g.neighbors(s):
             if v1 < s:

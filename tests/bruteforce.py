@@ -102,6 +102,16 @@ def greedy_naive(g, undominated, root=None):
     return frozenset(picked)
 
 
+def is_chain_naive(g):
+    """For a bipartite g: True iff it is 2K2-free, i.e. no two edges with
+    four distinct ends induce just those two edges (Yannakakis: the chain
+    graphs are exactly the 2K2-free bipartite graphs)."""
+    for (a, b), (c, d) in combinations(g.edges(), 2):
+        if len({a, b, c, d}) == 4 and not any(y in nbrs(g, x) for x in (a, b) for y in (c, d)):
+            return False
+    return True
+
+
 def first_failure_naive(g, s, problem):
     """(vertex, reason) explaining why s fails problem, or None if it passes.
 

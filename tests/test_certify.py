@@ -5,6 +5,7 @@ import pytest
 from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
 from scds import Failure, SecurityCertificate, is_cds, is_dominating, is_scds, pendant_and_support, verdict
+from scds.certify import is_cds_mask, is_dominating_mask, is_scds_mask
 from scds.graph import Graph
 
 
@@ -125,6 +126,9 @@ def test_first_failure_matches_bruteforce_exhaustively():
         for g in all_graphs(n):
             for smask in range(1 << n):
                 s = frozenset(i for i in range(n) if smask >> i & 1)
+                # the exact oracle's mask entry points give the same answers
+                masked = {"ds": is_dominating_mask(g, smask), "cds": is_cds_mask(g, smask),
+                          "scds": is_scds_mask(g, smask)}
                 for problem, passes in checks.items():
                     got = verdict(g, s, problem)
                     failed = isinstance(got, Failure)
@@ -133,6 +137,10 @@ def test_first_failure_matches_bruteforce_exhaustively():
                     assert ((got.vertex, got.reason) if failed else None) == want
                     if not failed:  # a passing verdict carries the certificate for scds
                         assert got == (is_scds(g, s) if problem == "scds" else None)
+                    if problem == "scds":
+                        assert masked[problem] == (None if failed else got)
+                    else:
+                        assert masked[problem] == (not failed)
                     undefended += want is not None and want[1] == "undefended"
     assert undefended > 1000  # the defender step is exercised, not just the cheap ones
 

@@ -1,7 +1,7 @@
 import pytest
 
-from bruteforce import min_scds_naive
-from helpers import complete_bipartite, cycle, path, star
+from bruteforce import is_chain_naive, min_scds_naive
+from helpers import complete_bipartite, connected_graphs, cycle, path, star
 from scds import (
     ChainOrdering,
     DisconnectedGraphError,
@@ -27,6 +27,20 @@ def test_recognition_examples():
     assert _ordering(cycle(6)) is None
     order = _ordering(path(4))
     assert order == ChainOrdering(x_order=(0, 2), y_order=(1, 3))
+
+
+def test_recognition_matches_2k2_freeness_exhaustively():
+    chains = others = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            parts = bipartition(g)
+            if parts is None:
+                continue
+            is_chain = chain_ordering(g, parts) is not None
+            assert is_chain == is_chain_naive(g), g.edges()
+            chains += is_chain
+            others += not is_chain
+    assert chains > 100 and others > 100  # both answers are exercised
 
 
 def test_recognition_requires_connected():

@@ -130,6 +130,35 @@ def test_verify_reject_explains_without_rescan(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_approx_verify_and_check_chain_build_no_masks(tmp_path, capsys, monkeypatch):
+    # these commands read only the adjacency lists, never the Θ(n²)-bit mask table
+    def refuse(self):
+        raise AssertionError("the neighbourhood mask table was built")
+
+    monkeypatch.setattr(Graph, "neighbor_masks", refuse)
+    g, rejected, _pendant = _reject_instance(seed=1)
+    graphs = {"g": g, "p5": path(5), "k34": complete_bipartite(3, 4), "p4": path(4), "c6": cycle(6)}
+    for name, graph in graphs.items():
+        save_graph(graph, tmp_path / name)
+    code, out = run(capsys, "approx", "--input", str(tmp_path / "g"))
+    assert code == 0
+    accepted = json.loads(out)["d_sc"]
+    p5 = str(tmp_path / "p5")
+    verify_cases = [  # (problem, graph file, set, exit code)
+        ("ds", p5, [1, 3], 0), ("ds", p5, [0], 1),
+        ("cds", p5, [1, 2, 3], 0), ("cds", p5, [1, 3], 1),
+        ("scds", p5, [0, 1, 2, 3, 4], 0), ("scds", p5, [1, 2, 3], 1),
+        ("scds", str(tmp_path / "g"), accepted, 0), ("scds", str(tmp_path / "g"), rejected, 1),
+    ]
+    for problem, graph_file, members, want in verify_cases:
+        code, _ = run(capsys, "verify", "--problem", problem, "--input", graph_file,
+                      "--set", ",".join(map(str, members)))
+        assert code == want, (problem, members)
+    for name, want in (("k34", 0), ("p4", 0), ("c6", 1), ("p5", 1)):  # chain graphs, then 2K2s
+        code, out = run(capsys, "check", "chain", "--input", str(tmp_path / name))
+        assert (code, json.loads(out)["chain"]) == (want, want == 0), name
+
+
 PARSE_ERRORS = [
     # (parser, text, message)
     (parse_graph, "", "missing header line 'n m'"),
@@ -198,13 +227,13 @@ def _child_run(argv):
 
 
 def test_small_files_declaring_many_vertices_stay_small(tmp_path):
-    # files of at most 17 bytes over n = 2 * 10**5 vertices: a Θ(n²)-bit table
-    # would need gigabytes, so each command must answer within 512 MB and 2 s
+    # files of at most 18 bytes over n = 2 * 10**5 or 10**6 vertices: a Θ(n²)-bit
+    # table would need gigabytes, so each command must answer within 512 MB and 2 s
     files = {"edgeless": "200000 0\n", "path": "200000 2\n0 1\n1 2\n", "host": "3 2\n0 2\n1 2\n",
-             "tree": "200000 1\n0 1\n", "huge": "999999999 0\n"}
+             "tree": "200000 1\n0 1\n", "huge": "999999999 0\n", "long_path": "1000000 2\n0 1\n1 2\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    edgeless, path_file, host, tree, huge = (str(tmp_path / name) for name in files)
+    edgeless, path_file, host, tree, huge, long_path = (str(tmp_path / name) for name in files)
     cases = [
         (["verify", "--input", edgeless, "--set", "0"], 1,
          '{"failing_vertex": 1, "problem": "scds", "reason": "undominated"}\n', ""),
@@ -213,6 +242,8 @@ def test_small_files_declaring_many_vertices_stay_small(tmp_path):
         (["check", "chain", "--input", edgeless], 4,
          "", "error: chain ordering requires a connected graph\n"),
         (["check", "chordal-bipartite", "--input", path_file], 0,
+         '{"bound": 8, "check": "chordal-bipartite", "ok": true}\n', ""),
+        (["check", "chordal-bipartite", "--input", long_path], 0,
          '{"bound": 8, "check": "chordal-bipartite", "ok": true}\n', ""),
         (["check", "tree-convex", "--input", host, "--tree", tree], 0,
          '{"check": "tree-convex", "ok": true}\n', ""),
