@@ -26,14 +26,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable
 
-from .certify import is_dominating_mask, is_scds
-from .exact import DEFAULT_BUDGET, _min_subset
-from .graph import (
-    DisconnectedGraphError,
-    Graph,
-    is_connected,
-    iter_bits,
-)
+from .certify import is_scds
+from .exact import DEFAULT_BUDGET, _dominates, _min_subset, iter_bits
+from .graph import DisconnectedGraphError, Graph, is_connected
 from .reductions import dom_to_mscds_general, extract_ds_from_gadget
 
 
@@ -68,6 +63,12 @@ def greedy_cds(g: Graph) -> frozenset[int]:
         raise ValueError("the empty graph has no connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("greedy CDS requires a connected graph")
+    return _grow_cds(g)
+
+
+def _grow_cds(g: Graph) -> frozenset[int]:
+    """Frontier growth from the smallest maximum-degree vertex, on a graph
+    already known to be connected and nonempty."""
     root = min(v for v in range(g.n) if g.degree(v) == g.max_degree)
     return _greedy(g, bytearray(b"\x01") * g.n, root)
 
@@ -137,7 +138,7 @@ def approx_scds(g: Graph) -> ApproxOutcome:
         raise ValueError("the empty graph has no secure connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("secure connected domination requires a connected graph")
-    d_c = greedy_cds(g)
+    d_c = _grow_cds(g)
     residual = bytearray(b"\x01") * g.n
     for v in d_c:
         residual[v] = 0
@@ -167,7 +168,7 @@ def dom_set_approx(
         raise ValueError("threshold k must be at least 1")
     if not is_connected(g) or g.n == 0:
         raise DisconnectedGraphError("this routine requires a connected graph")
-    found = _min_subset(g.n, (), lambda m: is_dominating_mask(g, m), budget, most=k)
+    found = _min_subset(g.n, (), _dominates(g), budget, most=k)
     if found is not None:
         return frozenset(iter_bits(found[0]))
     art = dom_to_mscds_general(g)

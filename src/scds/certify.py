@@ -36,10 +36,8 @@ an n-bit mask:
   i.e. u has a neighbour in every piece of G[S] - v (u's neighbour DFS
   times are bisected into v's sorted separated intervals).
 
-The exact oracle tests its many small candidates as bitmasks
-(``is_dominating_mask``, and ``is_cds_mask`` connectivity first, since most
-candidates fail there); ``is_scds_mask`` sends the candidates that pass
-straight to the dominator lists, the DFS and the same defender loop.
+The exact oracle sends its candidates that dominate and connect to the
+same dominator lists, DFS and defender loop.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, iter_bits, reach_within
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -79,33 +77,6 @@ def _members(g: Graph, s: Iterable[int]) -> list[int]:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
         members.add(v)
     return sorted(members)
-
-
-def _dominated(g: Graph, smask: int) -> int:
-    """N[S] = S | N(S) as a mask."""
-    nm = g.neighbor_masks()
-    covered = smask
-    for v in iter_bits(smask):
-        covered |= nm[v]
-    return covered
-
-
-def is_dominating_mask(g: Graph, smask: int) -> bool:
-    return _dominated(g, smask) == g.full_mask
-
-
-def is_cds_mask(g: Graph, smask: int) -> bool:
-    # The empty set is never a CDS, including on the empty graph.
-    return bool(smask) and reach_within(g, smask) == smask and is_dominating_mask(g, smask)
-
-
-def is_scds_mask(g: Graph, smask: int) -> SecurityCertificate | None:
-    if not is_cds_mask(g, smask):
-        return None
-    members = list(iter_bits(smask))
-    doms = _dominators(g, members)
-    defended, undefended = _defend(g, doms, *_swap_structure(doms, members[0]), members[0])
-    return None if undefended >= 0 else SecurityCertificate(defended)
 
 
 def is_dominating(g: Graph, s: Iterable[int]) -> bool:

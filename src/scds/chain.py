@@ -61,6 +61,10 @@ def chain_ordering(g: Graph, parts: Bipartition) -> ChainOrdering | None:
     checked neighborhood by neighborhood.
     """
     check_bipartition(g, parts)
+    return _chain_ordering(g, parts)
+
+
+def _chain_ordering(g: Graph, parts: Bipartition) -> ChainOrdering | None:  # for certified sides
     if not is_connected(g):
         raise DisconnectedGraphError("chain ordering requires a connected graph")
     xs = tuple(sorted(parts.left, key=lambda v: (g.degree(v), v)))
@@ -76,12 +80,17 @@ def chain_scds_upper_bound(g: Graph, order: ChainOrdering) -> frozenset[int]:
     stars) return every vertex.  The output is certified secure on every
     call; it is an upper bound witness, not necessarily minimum.
     """
+    if g.n:  # on the empty graph the construction's own error comes first
+        if not _containment_ok(g, order):
+            raise ValueError("ordering violates the neighborhood containment chain")
+        if sorted(order.x_order + order.y_order) != list(range(g.n)):
+            raise ValueError("ordering does not enumerate the two sides exactly")
+    return _chain_scds_upper_bound(g, order)
+
+
+def _chain_scds_upper_bound(g: Graph, order: ChainOrdering) -> frozenset[int]:  # for a verified order
     if g.n == 0:
         raise ValueError("the empty graph has no secure connected dominating set")
-    if not _containment_ok(g, order):
-        raise ValueError("ordering violates the neighborhood containment chain")
-    if sorted(order.x_order + order.y_order) != list(range(g.n)):
-        raise ValueError("ordering does not enumerate the two sides exactly")
     p, q = len(order.x_order), len(order.y_order)
     if p == 1 or q == 1:
         out = frozenset(range(g.n))

@@ -18,7 +18,7 @@ from functools import cache, partial
 
 from .approx import approx_scds
 from .certify import Failure, verdict
-from .chain import chain_ordering, chain_scds_upper_bound
+from .chain import _chain_ordering, _chain_scds_upper_bound
 from .exact import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -239,13 +239,13 @@ def cmd_check(args) -> int:
             payload["cycle"] = list(probe.cycle)
         _emit(payload)
         return EXIT_OK if probe.passed else EXIT_NEGATIVE
-    # chain recognition
+    # chain recognition; bipartition certifies its sides and the ordering is verified
     parts = bipartition(g)
-    order = None if parts is None else chain_ordering(g, parts)
+    order = None if parts is None else _chain_ordering(g, parts)
     if order is None:
         _emit({"chain": False, "check": "chain"})
         return EXIT_NEGATIVE
-    built = chain_scds_upper_bound(g, order)
+    built = _chain_scds_upper_bound(g, order)
     _emit({
         "chain": True,
         "check": "chain",

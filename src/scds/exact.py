@@ -5,6 +5,11 @@ a cardinality, in lexicographic order of the free part, so the first
 feasible set found is the minimum and, among minima, the lexicographically
 smallest witness.  A budget on the candidate-space size (default 2**26)
 keeps the oracles honest about their scale.
+
+Candidates are bitmasks, bit ``v`` for vertex ``v``; no other module forms
+them.  Each search builds the table of N(v) masks once, and its
+per-candidate tests read it (``is_cds_mask`` tests connectivity first,
+since most candidates fail there).
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .certify import is_cds_mask, is_dominating_mask, is_scds_mask
-from .graph import DisconnectedGraphError, Graph, is_connected, iter_bits, mask_from, read_header
+from .certify import SecurityCertificate, _defend, _dominators, _swap_structure
+from .graph import DisconnectedGraphError, Graph, is_connected, read_header
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -56,6 +61,67 @@ class SetCoverInstance:
         for subset in self.family:
             covered |= subset
         return len(covered) == self.universe_size
+
+
+def mask_from(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield set bit positions of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """The N(v) masks by v: Θ(n²) bits, built once per search."""
+    return tuple(map(mask_from, g.adjacency()))
+
+
+def reach_within(nm: tuple[int, ...], mask: int) -> int:
+    """The vertices of ``mask`` reachable from its smallest one inside the
+    subgraph it induces; G[mask] is connected iff that is all of ``mask``."""
+    seen = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        for v in iter_bits(frontier):
+            grown |= nm[v]
+        frontier = grown & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_dominating_mask(nm: tuple[int, ...], full: int, smask: int) -> bool:
+    """Whether N[S] = S | N(S) is ``full`` = (1 << n) - 1."""
+    covered = smask
+    for v in iter_bits(smask):
+        covered |= nm[v]
+    return covered == full
+
+
+def _dominates(g: Graph) -> Callable[[int], bool]:
+    """The domination test of :func:`min_ds` and ``dom_set_approx``."""
+    nm, full = _neighbor_masks(g), (1 << g.n) - 1
+    return lambda smask: is_dominating_mask(nm, full, smask)
+
+
+def is_cds_mask(nm: tuple[int, ...], full: int, smask: int) -> bool:
+    # The empty set is never a CDS, including on the empty graph.
+    return bool(smask) and reach_within(nm, smask) == smask and is_dominating_mask(nm, full, smask)
+
+
+def is_scds_mask(g: Graph, nm: tuple[int, ...], full: int, smask: int) -> SecurityCertificate | None:
+    if not is_cds_mask(nm, full, smask):
+        return None
+    members = list(iter_bits(smask))
+    doms = _dominators(g, members)
+    defended, undefended = _defend(g, doms, *_swap_structure(doms, members[0]), members[0])
+    return None if undefended >= 0 else SecurityCertificate(defended)
 
 
 def _min_subset(
@@ -99,7 +165,7 @@ def _as_result(mask: int, explored: int) -> ExactResult:
 
 def min_ds(g: Graph, *, budget: int = DEFAULT_BUDGET) -> ExactResult:
     """Minimum dominating set."""
-    found = _min_subset(g.n, (), lambda m: is_dominating_mask(g, m), budget)
+    found = _min_subset(g.n, (), _dominates(g), budget)
     assert found is not None  # V always dominates
     return _as_result(*found)
 
@@ -110,7 +176,8 @@ def min_cds(g: Graph, *, budget: int = DEFAULT_BUDGET) -> ExactResult:
         raise ValueError("the empty graph has no connected dominating set")
     if not is_connected(g):
         raise DisconnectedGraphError("minimum CDS requires a connected graph")
-    found = _min_subset(g.n, (), lambda m: is_cds_mask(g, m), budget)
+    nm, full = _neighbor_masks(g), (1 << g.n) - 1
+    found = _min_subset(g.n, (), lambda m: is_cds_mask(nm, full, m), budget)
     assert found is not None  # V is a CDS of a connected graph
     return _as_result(*found)
 
@@ -136,7 +203,8 @@ def min_scds(
     for v in forced:
         if not 0 <= v < g.n:
             raise ValueError(f"forced vertex {v} out of range for n={g.n}")
-    found = _min_subset(g.n, forced, lambda m: is_scds_mask(g, m) is not None, budget)
+    nm, full = _neighbor_masks(g), (1 << g.n) - 1
+    found = _min_subset(g.n, forced, lambda m: is_scds_mask(g, nm, full, m) is not None, budget)
     assert found is not None  # V is an SCDS of a connected graph
     return _as_result(*found)
 

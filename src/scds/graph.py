@@ -1,28 +1,18 @@
 """Immutable simple undirected graphs plus the vertex-set plumbing every
 solver shares.
 
-Vertices are dense 0-based indices.  Vertex subsets cross API boundaries as
-plain ``frozenset`` objects; the performance-sensitive internals use integer
-bitmasks where bit ``v`` stands for vertex ``v``.  The text file format is
-documented on :func:`parse_graph`.
-
-A :class:`Graph` is built from sorted adjacency tuples in O(n + m) time and
-memory, so parsing, :func:`is_connected`, :func:`bipartition`,
-:func:`check_bipartition` and :func:`pendant_and_support` stay linear, and
-so do the approximation, the certifier and chain recognition, which read
-:meth:`Graph.adjacency`.  Its one Θ(n²)-bit table, of the open
-neighbourhoods N(v), is built on the first :meth:`Graph.neighbor_masks` call.
-Only bit-parallel code on small or structured inputs asks for it:
-:func:`reach_within` and the exact oracle's per-candidate tests, and the
-elimination-order and chordless-cycle validators.  Closed neighbourhoods are
-formed where they are used: ``nm[v] | 1 << v``, or S | N(S) for a set S.
+Vertices are dense 0-based indices; vertex subsets cross API boundaries as
+``frozenset`` objects.  The text file format is documented on
+:func:`parse_graph`.  A :class:`Graph` is its sorted adjacency tuples,
+built in O(n + m) time and memory, and every function here stays linear.
+Only the exact oracle uses bitmasks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -33,32 +23,15 @@ class DisconnectedGraphError(ValueError):
     """A connected graph was required but the input is disconnected."""
 
 
-def mask_from(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Graph:
     """Simple undirected graph, immutable after construction.
 
     ``n`` is the vertex count, ``m`` the edge count.  Adjacency lists are
     strictly increasing tuples and symmetric; no self-loops or duplicate
-    edges survive construction.  Instances are safe to share across threads:
-    one assignment publishes the mask table, so two threads racing on its
-    first build at worst build it twice.
+    edges survive construction.  Instances are safe to share across threads.
     """
 
-    __slots__ = ("n", "m", "_adj", "_nmask", "_maxdeg")
+    __slots__ = ("n", "m", "_adj", "_maxdeg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -102,18 +75,6 @@ class Graph:
     def max_degree(self) -> int:
         return self._maxdeg
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """The open-neighbourhood bitmasks N(v) by v; fetch once, then index."""
-        try:
-            return self._nmask
-        except AttributeError:  # the slot stays unset until the first call
-            self._nmask = tuple(map(mask_from, self._adj))
-            return self._nmask
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         out = []
@@ -156,20 +117,6 @@ def is_connected(g: Graph) -> bool:
                 reached += 1
                 stack.append(w)
     return reached == g.n
-
-
-def reach_within(g: Graph, mask: int) -> int:
-    """The vertices of ``mask`` reachable from its smallest one inside the
-    subgraph it induces; G[mask] is connected iff that is all of ``mask``."""
-    nm = g.neighbor_masks()
-    seen = frontier = mask & -mask
-    while frontier:
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= nm[v]
-        frontier = grown & mask & ~seen
-        seen |= frontier
-    return seen
 
 
 def pendant_and_support(g: Graph) -> tuple[frozenset[int], frozenset[int]]:

@@ -3,6 +3,7 @@
 Only *verification* lives here: elimination orderings are checked, tree
 witnesses are checked, and chordal bipartiteness is probed by a bounded
 chordless-cycle search.  Full recognition algorithms are out of scope.
+Every validator reads the adjacency lists in O(n + m) memory.
 """
 
 from __future__ import annotations
@@ -10,25 +11,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Bipartition, Graph, bipartition, check_bipartition, iter_bits, mask_from, reach_within
+from .graph import Bipartition, Graph, bipartition, check_bipartition
 
 
 def _eliminates(g: Graph, order: Sequence[int], doubly: bool) -> bool:
-    """The elimination loop behind :func:`check_peo` and :func:`check_dpeo`."""
+    """The elimination test behind :func:`check_peo` and :func:`check_dpeo`.
+
+    A requirement owed[u][w] = t says that w, and every neighbour of w at
+    position t or later, lies in N[u].  PEO (Rose, Tarjan & Lueker): v's
+    later neighbours form a clique iff they lie in N[u] for u the earliest
+    of them (t = n: w alone).  DPEO: some u in the residual N[v] has a
+    residual N[u] holding the residual N[w] of each w in it; then every u of
+    maximum size does, so one is owed with t the position of v.  A pair
+    keeps its smallest t, as a containment that holds then holds later, and
+    each u is checked once against a marker array.
+    """
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
-    nm = g.neighbor_masks()
-    remaining = g.full_mask
-    for v in order:
-        later_nbrs = nm[v] & remaining
-        for w in iter_bits(later_nbrs):
-            if (later_nbrs & ~(1 << w)) & ~nm[w]:
+    adj, n = g.adjacency(), g.n
+    pos = [0] * n
+    for t, v in enumerate(order):
+        pos[v] = t
+    owed: dict[int, dict[int, int]] = {}  # owed[u][w] = t
+    left = [len(a) for a in adj]  # neighbours not yet eliminated
+    for t, v in enumerate(order):
+        later = [w for w in adj[v] if pos[w] > t]
+        if later:
+            due = owed.setdefault(min(later, key=pos.__getitem__), {})
+            for w in later:
+                due.setdefault(w, n)
+        if doubly:
+            hood = [v, *later]
+            due = owed.setdefault(max(hood, key=lambda w: (left[w], pos[w])), {})
+            for w in hood:
+                due[w] = min(due.get(w, n), t)
+            for w in adj[v]:
+                left[w] -= 1
+    mark = [-1] * n
+    for u, due in owed.items():
+        mark[u] = u
+        for x in adj[u]:
+            mark[x] = u
+        for w, t in due.items():
+            if mark[w] != u or t < n and any(mark[x] != u and pos[x] >= t for x in adj[w]):
                 return False
-        if doubly:  # some u in N[v] whose residual N[u] holds every residual N[w], w in N[v]
-            closed = [(nm[w] | 1 << w) & remaining for w in iter_bits(later_nbrs | 1 << v)]
-            if not any(all(not cw & ~cu for cw in closed) for cu in closed):
-                return False
-        remaining &= ~(1 << v)
     return True
 
 
@@ -66,7 +92,8 @@ class TreeWitness:
     kind: str
 
 
-def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> None:
+def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> list[int]:
+    """The witness tree's BFS parent pointers, once its shape is checked."""
     edges = w.tree.edges()
     for u, v in edges:
         if u not in left or v not in left:
@@ -74,7 +101,8 @@ def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> None:
     p = len(left)
     if p == 0:
         raise ValueError("tree witness must span a nonempty left part")
-    if len(edges) != p - 1 or max(left) >= w.tree.n or not _connected_within(w.tree, left):
+    parent = None if len(edges) != p - 1 or max(left) >= w.tree.n else _parents(w.tree, left)
+    if parent is None:
         raise ValueError("tree witness does not span the left part as a tree")
     if w.kind == "star":
         if p > 2 and not any(w.tree.degree(c) == p - 1 for c in left):
@@ -84,11 +112,28 @@ def _check_witness_shape(w: TreeWitness, left: frozenset[int]) -> None:
             raise ValueError("tree witness is not a comb")
     elif w.kind != "general":
         raise ValueError(f"unknown tree witness kind: {w.kind!r}")
+    return parent
 
 
-def _connected_within(tree: Graph, nodes: frozenset[int]) -> bool:
-    node_mask = mask_from(nodes)
-    return reach_within(tree, node_mask) == node_mask
+def _parents(tree: Graph, nodes: frozenset[int]) -> list[int] | None:
+    """BFS parent pointers of ``tree`` from min(``nodes``), -1 at the root and
+    off the search, or None if the search misses part of ``nodes``."""
+    root = min(nodes)
+    parent = [-1] * tree.n
+    reached = [root]
+    for v in reached:  # the list grows into the BFS order
+        for w in tree.neighbors(v):
+            if parent[w] < 0 and w != root:
+                parent[w] = v
+                reached.append(w)
+    return parent if len(reached) == len(nodes) else None
+
+
+def _connected_within(parent: list[int], nodes: frozenset[int]) -> bool:
+    """Whether ``nodes`` induces a subtree of the tree with ``parent``
+    pointers: a forest of child-parent edges, connected iff it has
+    len(nodes) - 1 of them."""
+    return sum(parent[v] in nodes for v in nodes) == len(nodes) - 1
 
 
 def _is_comb(tree: Graph, left: frozenset[int]) -> bool:
@@ -104,11 +149,9 @@ def _is_comb(tree: Graph, left: frozenset[int]) -> bool:
     for b in backbone:
         if sum(1 for w in tree.neighbors(b) if w in leaves) != 1:
             return False
-    # The backbone must induce a path.
+    # The backbone must induce a path; a tree minus its leaves is connected.
     degs = [sum(1 for w in tree.neighbors(b) if w in backbone) for b in backbone]
-    if any(d > 2 for d in degs) or degs.count(1) != 2:
-        return False
-    return _connected_within(tree, frozenset(backbone))
+    return all(d <= 2 for d in degs) and degs.count(1) == 2
 
 
 def validate_tree_convex(g: Graph, parts: Bipartition, witness: TreeWitness) -> bool:
@@ -118,12 +161,12 @@ def validate_tree_convex(g: Graph, parts: Bipartition, witness: TreeWitness) -> 
     left part, not a tree, or failing its declared shape).
     """
     check_bipartition(g, parts)
-    _check_witness_shape(witness, parts.left)
+    parent = _check_witness_shape(witness, parts.left)
     for b in sorted(parts.right):
         hood = frozenset(g.neighbors(b))
         if len(hood) <= 1:
             continue
-        if not _connected_within(witness.tree, hood):
+        if not _connected_within(parent, hood):
             return False
     return True
 
@@ -160,34 +203,41 @@ def _find_chordless_cycle(g: Graph, max_len: int) -> tuple[int, ...] | None:
     # consecutive vertices adjacent and non-consecutive ones not; vertices
     # beyond v1 must avoid s except for the closing edge.  Depth-first with
     # neighbors taken in ascending order, so the first hit is canonical.
-    nm = g.neighbor_masks()
+    adj = g.adjacency()
+    near = [0] * g.n  # near[w]: the neighbours of w in path[1:-1], kept on push and pop
+    s_nbr = [-1] * g.n  # s_nbr[w] == s iff w is adjacent to s
     for s in range(g.n):
-        if g.degree(s) < 2:  # on no cycle, so build no mask from it
+        if len(adj[s]) < 2 or adj[s][-2] < s:  # no two neighbours above s: no cycle is least at s
             continue
-        smask = 1 << s
-        for v1 in g.neighbors(s):
+        for w in adj[s]:
+            s_nbr[w] = s
+        for v1 in adj[s]:
             if v1 < s:
                 continue
-            stack = [([s, v1], smask | (1 << v1), smask)]
-            while stack:
-                path, on_path, blocked = stack.pop()
-                last = path[-1]
-                # blocked = path minus its last vertex; a new vertex may not
-                # be adjacent to any of it (s is special-cased: adjacency to
-                # s closes the cycle).
-                extensions = []
-                for w in g.neighbors(last):
-                    if w <= s or on_path >> w & 1:
-                        continue
-                    wmask = nm[w]
-                    if wmask & blocked & ~smask:
-                        continue
-                    if wmask & smask:
-                        if len(path) + 1 >= 6:
-                            return tuple(path + [w])
-                        continue  # chord to s once the cycle closes later
-                    if len(path) + 1 < max_len:
-                        extensions.append(w)
-                for w in reversed(extensions):
-                    stack.append((path + [w], on_path | (1 << w), blocked | (1 << last)))
+            path, pending = [s, v1], [None]  # pending[i]: extensions of path[:i + 2] left to explore
+            while pending:
+                if pending[-1] is None:  # a new path: scan its last vertex's neighbours
+                    extensions = []
+                    for w in adj[path[-1]]:
+                        if w <= s or near[w] or w in path:
+                            continue
+                        if s_nbr[w] == s:
+                            if len(path) + 1 >= 6:
+                                return tuple(path + [w])
+                            continue  # chord to s once the cycle closes later
+                        if len(path) + 1 < max_len:
+                            extensions.append(w)
+                    pending[-1] = iter(extensions)
+                w = next(pending[-1], None)
+                if w is not None:  # the last vertex joins path[1:-1]
+                    for x in adj[path[-1]]:
+                        near[x] += 1
+                    path.append(w)
+                    pending.append(None)
+                else:
+                    pending.pop()
+                    path.pop()
+                    if pending:
+                        for x in adj[path[-1]]:
+                            near[x] -= 1
     return None

@@ -112,6 +112,43 @@ def is_chain_naive(g):
     return True
 
 
+def peo_naive(g, order):
+    """True iff the neighbours of each vertex that come later in ``order``
+    are pairwise adjacent."""
+    for i, v in enumerate(order):
+        later = nbrs(g, v) & set(order[i + 1:])
+        if any(b not in nbrs(g, a) for a, b in combinations(later, 2)):
+            return False
+    return True
+
+
+def dpeo_naive(g, order):
+    """True iff ``order`` is a perfect elimination ordering in which every
+    vertex v has a maximum neighbour: some u in the residual N[v] whose
+    residual N[u] contains the residual N[w] of every w in the residual N[v]
+    (residual: v and the vertices after it)."""
+    if not peo_naive(g, order):
+        return False
+    for i, v in enumerate(order):
+        residual = set(order[i:])
+        hood = closed(g, v) & residual
+        if not any(all(closed(g, w) & residual <= closed(g, u) for w in hood) for u in hood):
+            return False
+    return True
+
+
+def chordless_cycles_naive(g, lengths):
+    """The vertex sets of the induced cycles of g with a length in
+    ``lengths``: k vertices that induce a connected 2-regular subgraph."""
+    out = set()
+    for k in lengths:
+        for combo in combinations(range(g.n), k):
+            s = set(combo)
+            if all(len(nbrs(g, v) & s) == 2 for v in s) and induced_connected_naive(g, s):
+                out.add(frozenset(s))
+    return out
+
+
 def first_failure_naive(g, s, problem):
     """(vertex, reason) explaining why s fails problem, or None if it passes.
 

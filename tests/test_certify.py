@@ -5,7 +5,7 @@ import pytest
 from bruteforce import defenders_naive, first_failure_naive, is_cds_naive, is_ds_naive, is_scds_naive
 from helpers import all_graphs, complete, connected_graphs, cycle, path, star
 from scds import Failure, SecurityCertificate, is_cds, is_dominating, is_scds, pendant_and_support, verdict
-from scds.certify import is_cds_mask, is_dominating_mask, is_scds_mask
+from scds.exact import _neighbor_masks, is_cds_mask, is_dominating_mask, is_scds_mask
 from scds.graph import Graph
 
 
@@ -124,11 +124,12 @@ def test_first_failure_matches_bruteforce_exhaustively():
     undefended = 0
     for n in range(6):
         for g in all_graphs(n):
+            nm, full = _neighbor_masks(g), (1 << n) - 1
             for smask in range(1 << n):
                 s = frozenset(i for i in range(n) if smask >> i & 1)
                 # the exact oracle's mask entry points give the same answers
-                masked = {"ds": is_dominating_mask(g, smask), "cds": is_cds_mask(g, smask),
-                          "scds": is_scds_mask(g, smask)}
+                masked = {"ds": is_dominating_mask(nm, full, smask), "cds": is_cds_mask(nm, full, smask),
+                          "scds": is_scds_mask(g, nm, full, smask)}
                 for problem, passes in checks.items():
                     got = verdict(g, s, problem)
                     failed = isinstance(got, Failure)

@@ -131,13 +131,17 @@ def test_verify_reject_explains_without_rescan(tmp_path, capsys, monkeypatch):
 
 
 def test_approx_verify_and_check_chain_build_no_masks(tmp_path, capsys, monkeypatch):
-    # these commands read only the adjacency lists, never the Θ(n²)-bit mask table
-    def refuse(self):
+    # these commands read only the adjacency lists, never the exact oracle's
+    # Θ(n²)-bit mask table
+    import scds.exact
+
+    def refuse(g):
         raise AssertionError("the neighbourhood mask table was built")
 
-    monkeypatch.setattr(Graph, "neighbor_masks", refuse)
+    monkeypatch.setattr(scds.exact, "_neighbor_masks", refuse)
     g, rejected, _pendant = _reject_instance(seed=1)
-    graphs = {"g": g, "p5": path(5), "k34": complete_bipartite(3, 4), "p4": path(4), "c6": cycle(6)}
+    graphs = {"g": g, "p5": path(5), "k34": complete_bipartite(3, 4), "p4": path(4), "c6": cycle(6),
+              "tree": Graph(5, [(0, 2), (2, 4)]), "tree6": Graph(6, [(0, 2), (2, 4)])}
     for name, graph in graphs.items():
         save_graph(graph, tmp_path / name)
     code, out = run(capsys, "approx", "--input", str(tmp_path / "g"))
@@ -157,6 +161,20 @@ def test_approx_verify_and_check_chain_build_no_masks(tmp_path, capsys, monkeypa
     for name, want in (("k34", 0), ("p4", 0), ("c6", 1), ("p5", 1)):  # chain graphs, then 2K2s
         code, out = run(capsys, "check", "chain", "--input", str(tmp_path / name))
         assert (code, json.loads(out)["chain"]) == (want, want == 0), name
+    k34, c6 = str(tmp_path / "k34"), str(tmp_path / "c6")
+    check_cases = [  # (check arguments, exit code)
+        (["peo", "--input", p5, "--order", "0,4,1,3,2"], 0),
+        (["peo", "--input", c6, "--order", "0,1,2,3,4,5"], 1),
+        (["dpeo", "--input", p5, "--order", "0,4,1,3,2"], 0),
+        (["dpeo", "--input", k34, "--order", "0,1,2,3,4,5,6"], 1),
+        (["chordal-bipartite", "--input", k34], 0),
+        (["chordal-bipartite", "--input", c6], 1),
+        (["tree-convex", "--input", p5, "--tree", str(tmp_path / "tree")], 0),
+        (["tree-convex", "--input", p5, "--tree", str(tmp_path / "tree"), "--kind", "comb"], 4),
+        (["tree-convex", "--input", c6, "--tree", str(tmp_path / "tree6")], 1),
+    ]
+    for argv, want in check_cases:
+        assert run(capsys, "check", *argv)[0] == want, argv
 
 
 PARSE_ERRORS = [
@@ -254,6 +272,27 @@ def test_small_files_declaring_many_vertices_stay_small(tmp_path):
         proc, seconds = _child_run(argv)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        assert seconds <= 2, (argv, seconds)
+
+
+def test_validators_on_long_paths_stay_linear(tmp_path):
+    # a Θ(n²)-bit table over P_{1.2·10⁵} (a 1.4 MiB file) needs about 0.9 GB; on
+    # adjacency both commands answer within 512 MB and 2 s
+    n = 120000
+    (tmp_path / "long").write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    n = 60000  # a path tree over the even side of P_{6·10⁴}
+    (tmp_path / "host").write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    (tmp_path / "tree").write_text(f"{n} {n // 2 - 1}\n" + "".join(f"{i} {i + 2}\n" for i in range(0, n - 2, 2)))
+    cases = [
+        (["check", "chordal-bipartite", "--input", str(tmp_path / "long")],
+         '{"bound": 8, "check": "chordal-bipartite", "ok": true}\n'),
+        (["check", "tree-convex", "--input", str(tmp_path / "host"), "--tree", str(tmp_path / "tree")],
+         '{"check": "tree-convex", "ok": true}\n'),
+    ]
+    for argv, out in cases:
+        proc, seconds = _child_run(argv)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
         assert seconds <= 2, (argv, seconds)
 
 

@@ -8,8 +8,9 @@ from bruteforce import (
     min_scds_naive,
     min_set_cover_naive,
     min_vc_naive,
+    reach_naive,
 )
-from helpers import complete, connected_graphs, cycle, path, random_connected
+from helpers import all_graphs, complete, connected_graphs, cycle, path, random_connected
 from scds import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -25,7 +26,15 @@ from scds import (
     min_vertex_cover,
     pendant_and_support,
 )
-from scds.exact import SetCoverFormatError, format_set_cover, parse_set_cover
+from scds.exact import (
+    SetCoverFormatError,
+    _neighbor_masks,
+    format_set_cover,
+    iter_bits,
+    mask_from,
+    parse_set_cover,
+    reach_within,
+)
 
 
 def test_min_ds_examples():
@@ -192,3 +201,28 @@ def test_set_cover_text_roundtrip():
     for bad in ("", "1 1\n", "1 1 1\n2 0\n", "1 2 1\n1 0\n", "1 1 1\n1 9\n", "1 1 1\nx\n"):
         with pytest.raises(SetCoverFormatError):
             parse_set_cover(bad)
+
+
+def test_masks_match_adjacency():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, [p for p in pairs if rng.random() < 0.4])
+        nm = _neighbor_masks(g)
+        assert [{w for w in range(n) if nm[v] >> w & 1} for v in range(n)] == [
+            set(g.neighbors(v)) for v in range(n)]
+        assert [tuple(iter_bits(m)) for m in nm] == [g.neighbors(v) for v in range(n)]
+    assert _neighbor_masks(path(3)) == (0b010, 0b101, 0b010)
+
+
+def test_reach_within_matches_naive_search():
+    nm = _neighbor_masks(path(4))
+    assert reach_within(nm, 0) == 0
+    assert reach_within(nm, mask_from({0, 1, 3})) == mask_from({0, 1})
+    assert reach_within(nm, mask_from({1, 2, 3})) == mask_from({1, 2, 3})
+    for g in all_graphs(4):
+        nm = _neighbor_masks(g)
+        for mask in range(1, 1 << g.n):
+            s = {v for v in range(g.n) if mask >> v & 1}
+            assert reach_within(nm, mask) == mask_from(reach_naive(g, s))

@@ -3,16 +3,14 @@ import tracemalloc
 
 import pytest
 
-from bruteforce import induced_subgraph, reach_naive
+from bruteforce import induced_subgraph
 from helpers import all_graphs, complete, cycle, path, star
 from scds import Graph, GraphFormatError, bipartition, is_connected, pendant_and_support
 from scds.graph import (
     Bipartition,
     check_bipartition,
     format_graph,
-    mask_from,
     parse_graph,
-    reach_within,
     scds_forced,
 )
 
@@ -84,18 +82,6 @@ def test_is_connected():
     assert is_connected(Graph(0, []))
 
 
-def test_masks_match_adjacency():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 12)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = Graph(n, [p for p in pairs if rng.random() < 0.4])
-        nm = g.neighbor_masks()
-        assert nm == tuple(mask_from(g.neighbors(v)) for v in range(n))
-        assert g.neighbor_masks() is nm  # built on the first call, then kept
-    assert path(3).neighbor_masks() == (0b010, 0b101, 0b010)
-
-
 def test_edgeless_header_parses_and_rejects_in_linear_memory():
     # 20000 isolated vertices: one n-bit row or mask per vertex would take 50 MB.
     # 10**6 isolated vertices: a few pointers each fit in 48 MiB; an empty
@@ -123,16 +109,6 @@ def test_scds_forced():
     assert scds_forced(path(4)) == frozenset(range(4))
     assert scds_forced(star(3)) == frozenset(range(4))
     assert scds_forced(cycle(5)) == frozenset()
-
-
-def test_reach_within_matches_naive_search():
-    assert reach_within(path(4), 0) == 0
-    assert reach_within(path(4), mask_from({0, 1, 3})) == mask_from({0, 1})
-    assert reach_within(path(4), mask_from({1, 2, 3})) == mask_from({1, 2, 3})
-    for g in all_graphs(4):
-        for mask in range(1, 1 << g.n):
-            s = {v for v in range(g.n) if mask >> v & 1}
-            assert reach_within(g, mask) == mask_from(reach_naive(g, s))
 
 
 def test_pendant_has_unique_neighbor_in_supports():
@@ -187,8 +163,8 @@ BAD_PARTS = [  # (left, right, message) on the path 0 - 1 - 2 - 3
 
 
 def test_bipartition_builds_no_masks():
-    # parsing, connectivity, pendants, both bipartition functions (valid parts
-    # and every fault) leave the mask table unbuilt
+    # parsing, connectivity, pendants and both bipartition functions (valid
+    # parts and every fault) run on a Graph, which has no mask table to build
     for text in ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "3 3\n0 1\n1 2\n0 2\n", "3 0\n",
                  "4 3\n0 1\n1 2\n2 3\n"):
         g = parse_graph(text)
@@ -198,11 +174,9 @@ def test_bipartition_builds_no_masks():
         parts = bipartition(g)
         if parts is not None:
             check_bipartition(g, parts)
-        assert not hasattr(g, "_nmask")
     for left, right, _message in BAD_PARTS:  # g is the path 0 - 1 - 2 - 3
         with pytest.raises(ValueError):
             check_bipartition(g, Bipartition(frozenset(left), frozenset(right)))
-    assert not hasattr(g, "_nmask")
 
 
 def test_check_bipartition_rejects_bad_parts():

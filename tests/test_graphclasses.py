@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from helpers import complete, cycle, path
+from bruteforce import chordless_cycles_naive, closed, dpeo_naive, nbrs, peo_naive
+from helpers import all_graphs, complete, cycle, path
 from scds import (
     Graph,
     SetCoverInstance,
@@ -129,3 +130,73 @@ def test_chordal_bipartite_monotone_and_errors():
         chordal_bipartite_check_bounded(cycle(6), 4)
     with pytest.raises(ValueError):
         chordal_bipartite_check_bounded(complete(3), 6)
+
+
+def _elimination_order(g, rng):
+    """A seeded order that is often a (doubly) perfect elimination ordering:
+    each step takes a random residual vertex with a maximum neighbour if one
+    is simplicial, else a random simplicial one, else any."""
+    residual, order = set(range(g.n)), []
+    while residual:
+        simplicial, doubly = [], []
+        for v in sorted(residual):
+            hood = closed(g, v) & residual
+            if all(b in nbrs(g, a) for a, b in itertools.combinations(hood - {v}, 2)):
+                simplicial.append(v)
+                if any(all(closed(g, w) & residual <= closed(g, u) for w in hood) for u in hood):
+                    doubly.append(v)
+        v = rng.choice(doubly or simplicial or sorted(residual))
+        order.append(v)
+        residual.remove(v)
+    return order
+
+
+def test_elimination_checks_match_definition():
+    for n in range(5):  # every graph and every order
+        for g in all_graphs(n):
+            for order in itertools.permutations(range(n)):
+                assert check_peo(g, order) == peo_naive(g, order), (g.edges(), order)
+                assert check_dpeo(g, order) == dpeo_naive(g, order), (g.edges(), order)
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(5, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, [e for e in pairs if rng.random() < rng.choice((0.3, 0.6, 0.85))])
+        for order in (rng.sample(range(n), n), _elimination_order(g, rng)):
+            peo, dpeo = check_peo(g, order), check_dpeo(g, order)
+            assert (peo, dpeo) == (peo_naive(g, order), dpeo_naive(g, order)), (g.edges(), order)
+            seen.add((peo, dpeo))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _assert_matches_induced_cycles(g, max_len):
+    found = chordal_bipartite_check_bounded(g, max_len)
+    cycles = chordless_cycles_naive(g, range(6, max_len + 1, 2))
+    assert found.passed == (not cycles) and found.bound == max_len, (g.edges(), max_len)
+    if found.cycle is not None:
+        c = found.cycle
+        assert frozenset(c) in cycles and len(c) == len(set(c))  # induced, of an allowed length
+        assert all(c[i - 1] in nbrs(g, c[i]) for i in range(len(c)))  # in cycle order
+        assert c[0] == min(c)
+    return found.cycle is not None
+
+
+def test_chordal_bipartite_check_matches_induced_cycles():
+    found = 0
+    for p in range(1, 7):  # every p x q biadjacency matrix with p + q <= 7
+        for q in range(1, 8 - p):
+            pairs = [(x, p + y) for x in range(p) for y in range(q)]
+            for emask in range(1 << len(pairs)):
+                g = Graph(p + q, [pairs[i] for i in range(len(pairs)) if emask >> i & 1])
+                found += _assert_matches_induced_cycles(g, 8)
+    assert found > 300
+    found = 0
+    rng = random.Random(22)
+    for _ in range(150):  # seeded bipartite graphs up to n = 12, vertices relabelled
+        p = rng.randint(2, 6)
+        q = rng.randint(2, 12 - p)
+        label = rng.sample(range(p + q), p + q)
+        edges = [(label[x], label[p + y]) for x in range(p) for y in range(q) if rng.random() < 0.45]
+        found += _assert_matches_induced_cycles(Graph(p + q, edges), rng.choice((6, 8, 10, 12)))
+    assert found > 15
